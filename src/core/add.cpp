@@ -1,5 +1,6 @@
 #include "core/add.hpp"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -92,71 +93,26 @@ void block_acc(const TiledBlock& dst, double s, const TiledBlock& src,
 }
 
 // rla-hotpath
-void block_acc2(const TiledBlock& dst, double s1, const TiledBlock& p1, double s2,
-                const TiledBlock& p2, bool force_generic) {
-  const TileMap m1 = make_tile_map(dst, p1, force_generic);
-  const TileMap m2 = make_tile_map(dst, p2, force_generic);
-  const std::uint64_t tsz = dst.geom->tile_elems();
+void block_acc_n(const TiledBlock& dst, std::size_t n, const double* s,
+                 const TiledBlock* p, bool force_generic) {
+  std::array<TileMap, 4> m{};
+  bool identity = true;
   RLA_RACE_WRITE(dst.begin(), dst.elems() * sizeof(double));
-  RLA_RACE_READ(p1.begin(), p1.elems() * sizeof(double));
-  RLA_RACE_READ(p2.begin(), p2.elems() * sizeof(double));
-  if (m1.identity() && m2.identity()) {
-    vacc2(dst.begin(), s1, p1.begin(), s2, p2.begin(), dst.elems());
+  for (std::size_t k = 0; k < n; ++k) {
+    m[k] = make_tile_map(dst, p[k], force_generic);
+    identity = identity && m[k].identity();
+    RLA_RACE_READ(p[k].begin(), p[k].elems() * sizeof(double));
+  }
+  std::array<const double*, 4> src{};
+  if (identity) {
+    for (std::size_t k = 0; k < n; ++k) src[k] = p[k].begin();
+    vacc_n(dst.begin(), n, s, src.data(), dst.elems());
     return;
   }
-  double* d = dst.begin();
-  for (std::uint64_t s = 0; s < dst.tile_count(); ++s) {
-    vacc2(d + s * tsz, s1, p1.begin() + m1(s) * tsz, s2, p2.begin() + m2(s) * tsz,
-          tsz);
-  }
-}
-
-// rla-hotpath
-void block_acc3(const TiledBlock& dst, double s1, const TiledBlock& p1, double s2,
-                const TiledBlock& p2, double s3, const TiledBlock& p3,
-                bool force_generic) {
-  const TileMap m1 = make_tile_map(dst, p1, force_generic);
-  const TileMap m2 = make_tile_map(dst, p2, force_generic);
-  const TileMap m3 = make_tile_map(dst, p3, force_generic);
   const std::uint64_t tsz = dst.geom->tile_elems();
-  RLA_RACE_WRITE(dst.begin(), dst.elems() * sizeof(double));
-  RLA_RACE_READ(p1.begin(), p1.elems() * sizeof(double));
-  RLA_RACE_READ(p2.begin(), p2.elems() * sizeof(double));
-  RLA_RACE_READ(p3.begin(), p3.elems() * sizeof(double));
-  if (m1.identity() && m2.identity() && m3.identity()) {
-    vacc3(dst.begin(), s1, p1.begin(), s2, p2.begin(), s3, p3.begin(), dst.elems());
-    return;
-  }
-  double* d = dst.begin();
-  for (std::uint64_t s = 0; s < dst.tile_count(); ++s) {
-    vacc3(d + s * tsz, s1, p1.begin() + m1(s) * tsz, s2, p2.begin() + m2(s) * tsz,
-          s3, p3.begin() + m3(s) * tsz, tsz);
-  }
-}
-
-// rla-hotpath
-void block_acc4(const TiledBlock& dst, double s1, const TiledBlock& p1, double s2,
-                const TiledBlock& p2, double s3, const TiledBlock& p3, double s4,
-                const TiledBlock& p4, bool force_generic) {
-  const TileMap m1 = make_tile_map(dst, p1, force_generic);
-  const TileMap m2 = make_tile_map(dst, p2, force_generic);
-  const TileMap m3 = make_tile_map(dst, p3, force_generic);
-  const TileMap m4 = make_tile_map(dst, p4, force_generic);
-  const std::uint64_t tsz = dst.geom->tile_elems();
-  RLA_RACE_WRITE(dst.begin(), dst.elems() * sizeof(double));
-  RLA_RACE_READ(p1.begin(), p1.elems() * sizeof(double));
-  RLA_RACE_READ(p2.begin(), p2.elems() * sizeof(double));
-  RLA_RACE_READ(p3.begin(), p3.elems() * sizeof(double));
-  RLA_RACE_READ(p4.begin(), p4.elems() * sizeof(double));
-  if (m1.identity() && m2.identity() && m3.identity() && m4.identity()) {
-    vacc4(dst.begin(), s1, p1.begin(), s2, p2.begin(), s3, p3.begin(), s4,
-          p4.begin(), dst.elems());
-    return;
-  }
-  double* d = dst.begin();
-  for (std::uint64_t s = 0; s < dst.tile_count(); ++s) {
-    vacc4(d + s * tsz, s1, p1.begin() + m1(s) * tsz, s2, p2.begin() + m2(s) * tsz,
-          s3, p3.begin() + m3(s) * tsz, s4, p4.begin() + m4(s) * tsz, tsz);
+  for (std::uint64_t t = 0; t < dst.tile_count(); ++t) {
+    for (std::size_t k = 0; k < n; ++k) src[k] = p[k].begin() + m[k](t) * tsz;
+    vacc_n(dst.begin() + t * tsz, n, s, src.data(), tsz);
   }
 }
 

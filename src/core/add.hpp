@@ -48,19 +48,9 @@ void block_set_add(const TiledBlock& dst, const TiledBlock& a, double sb,
 void block_acc(const TiledBlock& dst, double s, const TiledBlock& src,
                bool force_generic = false);
 
-/// dst += s1·p1 + s2·p2.
-void block_acc2(const TiledBlock& dst, double s1, const TiledBlock& p1, double s2,
-                const TiledBlock& p2, bool force_generic = false);
-
-/// dst += s1·p1 + s2·p2 + s3·p3.
-void block_acc3(const TiledBlock& dst, double s1, const TiledBlock& p1, double s2,
-                const TiledBlock& p2, double s3, const TiledBlock& p3,
-                bool force_generic = false);
-
-/// dst += s1·p1 + s2·p2 + s3·p3 + s4·p4.
-void block_acc4(const TiledBlock& dst, double s1, const TiledBlock& p1, double s2,
-                const TiledBlock& p2, double s3, const TiledBlock& p3, double s4,
-                const TiledBlock& p4, bool force_generic = false);
+/// dst += Σ_k s[k]·p[k] over k < n (2..4 sources), in one fused pass.
+void block_acc_n(const TiledBlock& dst, std::size_t n, const double* s,
+                 const TiledBlock* p, bool force_generic = false);
 
 /// dst = src (orientation-aware copy).
 void block_copy(const TiledBlock& dst, const TiledBlock& src,

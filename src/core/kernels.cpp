@@ -155,6 +155,8 @@ void vacc(double* dst, double s, const double* src, std::uint64_t n) noexcept {
   for (std::uint64_t i = 0; i < n; ++i) dst[i] += s * src[i];
 }
 
+namespace {
+
 // rla-hotpath
 void vacc2(double* dst, double s1, const double* a, double s2, const double* b,
            std::uint64_t n) noexcept {
@@ -179,6 +181,27 @@ void vacc4(double* dst, double s1, const double* a, double s2, const double* b,
   RLA_SHADOW_ACC4(dst, s1, a, s2, b, s3, c, s4, d, n);
   for (std::uint64_t i = 0; i < n; ++i) {
     dst[i] += s1 * a[i] + s2 * b[i] + s3 * c[i] + s4 * d[i];
+  }
+}
+
+}  // namespace
+
+// rla-hotpath
+void vacc_n(double* dst, std::size_t n_src, const double* s, const double* const* src,
+            std::uint64_t n) noexcept {
+  switch (n_src) {
+    case 1:
+      vacc(dst, s[0], src[0], n);
+      break;
+    case 2:
+      vacc2(dst, s[0], src[0], s[1], src[1], n);
+      break;
+    case 3:
+      vacc3(dst, s[0], src[0], s[1], src[1], s[2], src[2], n);
+      break;
+    default:
+      vacc4(dst, s[0], src[0], s[1], src[1], s[2], src[2], s[3], src[3], n);
+      break;
   }
 }
 

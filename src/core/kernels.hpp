@@ -46,18 +46,10 @@ void vset_add(double* dst, const double* a, double sb, const double* b,
 /// dst[i] += s * src[i]
 void vacc(double* dst, double s, const double* src, std::uint64_t n) noexcept;
 
-/// dst[i] += s1*a[i] + s2*b[i]
-void vacc2(double* dst, double s1, const double* a, double s2, const double* b,
-           std::uint64_t n) noexcept;
-
-/// dst[i] += s1*a[i] + s2*b[i] + s3*c[i]
-void vacc3(double* dst, double s1, const double* a, double s2, const double* b,
-           double s3, const double* c, std::uint64_t n) noexcept;
-
-/// dst[i] += s1*a[i] + s2*b[i] + s3*c[i] + s4*d[i]
-void vacc4(double* dst, double s1, const double* a, double s2, const double* b,
-           double s3, const double* c, double s4, const double* d,
-           std::uint64_t n) noexcept;
+/// dst[i] += Σ_k s[k]*src[k][i] over k < n_src (1..4), in one fused pass
+/// (the quadrant post-additions' multi-operand accumulations).
+void vacc_n(double* dst, std::size_t n_src, const double* s, const double* const* src,
+            std::uint64_t n) noexcept;
 
 // ---- strided (leading-dimension) counterparts for the canonical path ----
 

@@ -1,9 +1,11 @@
 #include "core/recursion.hpp"
 
+#include <array>
 #include <cfenv>
 #include <limits>
 
 #include "analysis/annotations.hpp"
+#include "core/bilinear.hpp"
 #include "core/kernels.hpp"
 #include "core/zero_tree.hpp"
 #include "obs/collector.hpp"
@@ -25,7 +27,6 @@ std::uint64_t block_elems(const TiledBlock& b) noexcept {
 /// Fresh temporary with the same tile shape and curve as `like`, sized to
 /// one block of like.level levels. Root orientation is 0 by construction.
 TiledMatrix make_temp(const TiledBlock& like) {
-  fault::maybe_fail_alloc(fault::Site::AllocTemp);
   TileGeometry g;
   g.tile_rows = like.geom->tile_rows;
   g.tile_cols = like.geom->tile_cols;
@@ -76,17 +77,47 @@ bool spawn_here(const MulContext& ctx, int level) {
   return !ctx.pool->serial() && level >= ctx.spawn_min_level;
 }
 
-/// Run f via the group when parallel, inline otherwise.
-template <typename F>
-void fork(TaskGroup& group, bool parallel, F&& f) {
-  if (parallel) {
-    group.spawn(std::forward<F>(f));
-  } else {
-    f();
+/// The tiled-block adapter of the bilinear engine (core/bilinear.hpp).
+struct TiledOps {
+  using Ctx = MulContext;
+  using View = TiledBlock;
+  using CView = TiledBlock;
+  using Temp = TiledMatrix;
+
+  static bool cancelled(const Ctx& ctx) { return node_cancelled(ctx); }
+  static std::atomic<bool>* cancel_flag(const Ctx& ctx) { return ctx.cancel; }
+  static bool at_cutoff(const Ctx& ctx, const View& c) {
+    return c.level <= ctx.fast_cutoff_level;
   }
-}
+  static void fallback(const Ctx& ctx, const View& c, const CView& a, const CView& b,
+                       std::uint64_t path) {
+    mul_standard(ctx, c, a, b, path);
+  }
+  static bool parallel(const Ctx& ctx, const View& c) {
+    return spawn_here(ctx, c.level);
+  }
+  static TiledBlock quadrant(const TiledBlock& x, int q) { return x.quadrant(q); }
+  static Temp temp(const CView& like) { return make_temp(like); }
+  static View view(Temp& t) { return t.root(); }
+  static std::uint64_t elems(const View& x) { return block_elems(x); }
+  static void zero(const Ctx&, const View& d) { block_zero(d); }
+  static void set_add(const Ctx& ctx, const View& d, const CView& x, double s,
+                      const CView& y) {
+    block_set_add(d, x, s, y, ctx.force_generic_additions);
+  }
+  static void acc(const Ctx& ctx, const View& d, std::size_t n,
+                  const std::array<double, 4>& s, const std::array<CView, 4>& p) {
+    if (n == 1) {
+      block_acc(d, s[0], p[0], ctx.force_generic_additions);
+    } else {
+      block_acc_n(d, n, s.data(), p.data(), ctx.force_generic_additions);
+    }
+  }
+};
 
 }  // namespace
+
+using bilinear::fork;
 
 void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b, std::uint64_t path) {
@@ -134,8 +165,8 @@ void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
   // Paper Fig. 1(a): all eight products concurrently. The first four target
   // the C quadrants directly; the other four go to quadrant-sized
   // temporaries folded in by the post-additions.
-  TiledMatrix t11 = make_temp(c11), t12 = make_temp(c12);
-  TiledMatrix t21 = make_temp(c21), t22 = make_temp(c22);
+  TiledMatrix t11 = bilinear::temp<TiledOps>(c11), t12 = bilinear::temp<TiledOps>(c12);
+  TiledMatrix t21 = bilinear::temp<TiledOps>(c21), t22 = bilinear::temp<TiledOps>(c22);
   {
     TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
     fork(group, par, [&] { mul_standard(ctx, c11, a11, b11, treeprof::child_path(path, 0)); });
@@ -188,397 +219,23 @@ void mul_standard(const MulContext& ctx, const TiledBlock& c, const TiledBlock& 
   group.wait();
 }
 
-namespace {
-
-/// Paper §5.1's space-conserving sequential variant: one S, one T and one P
-/// buffer per node, products interspersed with their pre-/post-additions.
-/// Winograd's U-chains are expanded into per-product C contributions (the
-/// common-subexpression savings cannot survive with a single P buffer).
-void mul_fast_lowmem(const MulContext& ctx, bool winograd, const TiledBlock& c,
-                     const TiledBlock& a, const TiledBlock& b,
-                     std::uint64_t path) {
-  if (node_cancelled(ctx)) return;
-  if (c.level <= ctx.fast_cutoff_level) {
-    mul_standard(ctx, c, a, b, path);
-    return;
-  }
-  treeprof::NodeScope tree_node(path);
-  const bool fg = ctx.force_generic_additions;
-  const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
-  const TiledBlock c21 = c.quadrant(kSW), c22 = c.quadrant(kSE);
-  const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
-  const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
-  const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
-  const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
-
-  TiledMatrix s_buf = make_temp(a11), t_buf = make_temp(b11);
-  TiledMatrix p_buf = make_temp(c11);
-  const TiledBlock s = s_buf.root(), t = t_buf.root(), p = p_buf.root();
-
-  // Products carry child paths P1..P7 -> 0..6; every elementwise add pass
-  // charges one FLOP per element to this node.
-  auto product = [&](unsigned idx, const TiledBlock& x, const TiledBlock& y) {
-    block_zero(p);
-    mul_fast_lowmem(ctx, winograd, p, x, y, treeprof::child_path(path, idx));
-  };
-  auto acc = [&](const TiledBlock& dst, double scale, const TiledBlock& src) {
-    block_acc(dst, scale, src, fg);
-    treeprof::add_flops(block_elems(dst));
-  };
-  auto set_add = [&](const TiledBlock& dst, const TiledBlock& x, double scale,
-                     const TiledBlock& y) {
-    block_set_add(dst, x, scale, y, fg);
-    treeprof::add_flops(block_elems(dst));
-  };
-
-  if (!winograd) {
-    // P1 = (A11+A22)(B11+B22) -> C11, C22
-    set_add(s, a11, +1.0, a22);
-    set_add(t, b11, +1.0, b22);
-    product(0, s, t);
-    acc(c11, +1.0, p);
-    acc(c22, +1.0, p);
-    // P2 = (A21+A22) B11 -> C21, -C22
-    set_add(s, a21, +1.0, a22);
-    product(1, s, b11);
-    acc(c21, +1.0, p);
-    acc(c22, -1.0, p);
-    // P3 = A11 (B12-B22) -> C12, C22
-    set_add(t, b12, -1.0, b22);
-    product(2, a11, t);
-    acc(c12, +1.0, p);
-    acc(c22, +1.0, p);
-    // P4 = A22 (B21-B11) -> C11, C21
-    set_add(t, b21, -1.0, b11);
-    product(3, a22, t);
-    acc(c11, +1.0, p);
-    acc(c21, +1.0, p);
-    // P5 = (A11+A12) B22 -> -C11, C12
-    set_add(s, a11, +1.0, a12);
-    product(4, s, b22);
-    acc(c11, -1.0, p);
-    acc(c12, +1.0, p);
-    // P6 = (A21-A11)(B11+B12) -> C22
-    set_add(s, a21, -1.0, a11);
-    set_add(t, b11, +1.0, b12);
-    product(5, s, t);
-    acc(c22, +1.0, p);
-    // P7 = (A12-A22)(B21+B22) -> C11
-    set_add(s, a12, -1.0, a22);
-    set_add(t, b21, +1.0, b22);
-    product(6, s, t);
-    acc(c11, +1.0, p);
-    return;
-  }
-
-  // Winograd with expanded U-chains:
-  //   C11 = P1+P2, C21 = P1+P4+P5+P7, C22 = P1+P3+P4+P5, C12 = P1+P3+P4+P6.
-  // P1 = A11 B11
-  product(0, a11, b11);
-  acc(c11, +1.0, p);
-  acc(c21, +1.0, p);
-  acc(c22, +1.0, p);
-  acc(c12, +1.0, p);
-  // P2 = A12 B21
-  product(1, a12, b21);
-  acc(c11, +1.0, p);
-  // P3 = (A21+A22)(B12-B11)
-  set_add(s, a21, +1.0, a22);
-  set_add(t, b12, -1.0, b11);
-  product(2, s, t);
-  acc(c22, +1.0, p);
-  acc(c12, +1.0, p);
-  // P4 = (A21+A22-A11)(B22-B12+B11)
-  set_add(s, a21, +1.0, a22);
-  acc(s, -1.0, a11);
-  set_add(t, b22, -1.0, b12);
-  acc(t, +1.0, b11);
-  product(3, s, t);
-  acc(c21, +1.0, p);
-  acc(c22, +1.0, p);
-  acc(c12, +1.0, p);
-  // P5 = (A11-A21)(B22-B12)
-  set_add(s, a11, -1.0, a21);
-  set_add(t, b22, -1.0, b12);
-  product(4, s, t);
-  acc(c21, +1.0, p);
-  acc(c22, +1.0, p);
-  // P6 = (A12-A21-A22+A11) B22
-  set_add(s, a12, -1.0, a21);
-  acc(s, -1.0, a22);
-  acc(s, +1.0, a11);
-  product(5, s, b22);
-  acc(c12, +1.0, p);
-  // P7 = A22 (B21-B22+B12-B11)
-  set_add(t, b21, -1.0, b22);
-  acc(t, +1.0, b12);
-  acc(t, -1.0, b11);
-  product(6, a22, t);
-  acc(c21, +1.0, p);
-}
-
-}  // namespace
-
 void mul_strassen(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b, std::uint64_t path) {
-  if (node_cancelled(ctx)) return;
-  if (ctx.fast_variant == FastVariant::SerialLowMem) {
-    mul_fast_lowmem(ctx, /*winograd=*/false, c, a, b, path);
-    return;
-  }
-  if (c.level <= ctx.fast_cutoff_level) {
-    mul_standard(ctx, c, a, b, path);
-    return;
-  }
-  treeprof::NodeScope tree_node(path);
-  const bool par = spawn_here(ctx, c.level);
-  const bool fg = ctx.force_generic_additions;
-
-  const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
-  const TiledBlock c21 = c.quadrant(kSW), c22 = c.quadrant(kSE);
-  const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
-  const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
-  const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
-  const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
-
-  TiledMatrix s1 = make_temp(a11), s2 = make_temp(a11), s3 = make_temp(a11);
-  TiledMatrix s4 = make_temp(a11), s5 = make_temp(a11);
-  TiledMatrix t1 = make_temp(b11), t2 = make_temp(b11), t3 = make_temp(b11);
-  TiledMatrix t4 = make_temp(b11), t5 = make_temp(b11);
-  TiledMatrix p1 = make_temp(c11), p2 = make_temp(c11), p3 = make_temp(c11);
-  TiledMatrix p4 = make_temp(c11), p5 = make_temp(c11), p6 = make_temp(c11);
-  TiledMatrix p7 = make_temp(c11);
-
-  {
-    // Pre-additions (Fig. 1(b)): ten independent quadrant adds, each
-    // attributed to this node's own path.
-    obs::PhaseScope adds_phase("adds", par);
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    auto pre_add = [&](const TiledBlock& dst, const TiledBlock& x, double s,
-                       const TiledBlock& y) {
-      treeprof::NodeScope add_node(path);
-      block_set_add(dst, x, s, y, fg);
-      treeprof::add_flops(block_elems(dst));
-    };
-    fork(group, par, [&] { pre_add(s1.root(), a11, +1.0, a22); });
-    fork(group, par, [&] { pre_add(s2.root(), a21, +1.0, a22); });
-    // Note: S3 = A11 + A12 (Strassen's M5 pre-sum). The SPAA'99 scan prints
-    // "S3 = A11 - A12", which is inconsistent with its own post-additions
-    // C12 = P3 + P5 and C11 = ... - P5 ...; the + sign is the classical one.
-    fork(group, par, [&] { pre_add(s3.root(), a11, +1.0, a12); });
-    fork(group, par, [&] { pre_add(s4.root(), a21, -1.0, a11); });
-    fork(group, par, [&] { pre_add(s5.root(), a12, -1.0, a22); });
-    fork(group, par, [&] { pre_add(t1.root(), b11, +1.0, b22); });
-    fork(group, par, [&] { pre_add(t2.root(), b12, -1.0, b22); });
-    fork(group, par, [&] { pre_add(t3.root(), b21, -1.0, b11); });
-    fork(group, par, [&] { pre_add(t4.root(), b11, +1.0, b12); });
-    fork(group, par, [&] { pre_add(t5.root(), b21, +1.0, b22); });
-    group.wait();
-  }
-  {
-    // Seven recursive products, all spawned at once (paper §2).
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] {
-      p1.zero();
-      mul_strassen(ctx, p1.root(), s1.root(), t1.root(), treeprof::child_path(path, 0));
-    });
-    fork(group, par, [&] {
-      p2.zero();
-      mul_strassen(ctx, p2.root(), s2.root(), b11, treeprof::child_path(path, 1));
-    });
-    fork(group, par, [&] {
-      p3.zero();
-      mul_strassen(ctx, p3.root(), a11, t2.root(), treeprof::child_path(path, 2));
-    });
-    fork(group, par, [&] {
-      p4.zero();
-      mul_strassen(ctx, p4.root(), a22, t3.root(), treeprof::child_path(path, 3));
-    });
-    fork(group, par, [&] {
-      p5.zero();
-      mul_strassen(ctx, p5.root(), s3.root(), b22, treeprof::child_path(path, 4));
-    });
-    fork(group, par, [&] {
-      p6.zero();
-      mul_strassen(ctx, p6.root(), s4.root(), t4.root(), treeprof::child_path(path, 5));
-    });
-    fork(group, par, [&] {
-      p7.zero();
-      mul_strassen(ctx, p7.root(), s5.root(), t5.root(), treeprof::child_path(path, 6));
-    });
-    group.wait();
-  }
-  // Post-additions.
-  obs::PhaseScope adds_phase("adds", par);
-  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc4(c11, +1.0, p1.root(), +1.0, p4.root(), -1.0, p5.root(), +1.0,
-               p7.root(), fg);
-    treeprof::add_flops(4 * block_elems(c11));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc2(c21, +1.0, p2.root(), +1.0, p4.root(), fg);
-    treeprof::add_flops(2 * block_elems(c21));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc2(c12, +1.0, p3.root(), +1.0, p5.root(), fg);
-    treeprof::add_flops(2 * block_elems(c12));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc4(c22, +1.0, p1.root(), +1.0, p3.root(), -1.0, p2.root(), +1.0,
-               p6.root(), fg);
-    treeprof::add_flops(4 * block_elems(c22));
-  });
-  group.wait();
+  bilinear::run<TiledOps>(bilinear::kStrassen, ctx, c, a, b, path);
 }
 
 void mul_winograd(const MulContext& ctx, const TiledBlock& c, const TiledBlock& a,
                   const TiledBlock& b, std::uint64_t path) {
-  if (node_cancelled(ctx)) return;
-  if (ctx.fast_variant == FastVariant::SerialLowMem) {
-    mul_fast_lowmem(ctx, /*winograd=*/true, c, a, b, path);
-    return;
-  }
-  if (c.level <= ctx.fast_cutoff_level) {
-    mul_standard(ctx, c, a, b, path);
-    return;
-  }
-  treeprof::NodeScope tree_node(path);
-  const bool par = spawn_here(ctx, c.level);
-  const bool fg = ctx.force_generic_additions;
-
-  const TiledBlock c11 = c.quadrant(kNW), c12 = c.quadrant(kNE);
-  const TiledBlock c21 = c.quadrant(kSW), c22 = c.quadrant(kSE);
-  const TiledBlock a11 = a.quadrant(kNW), a12 = a.quadrant(kNE);
-  const TiledBlock a21 = a.quadrant(kSW), a22 = a.quadrant(kSE);
-  const TiledBlock b11 = b.quadrant(kNW), b12 = b.quadrant(kNE);
-  const TiledBlock b21 = b.quadrant(kSW), b22 = b.quadrant(kSE);
-
-  TiledMatrix s1 = make_temp(a11), s2 = make_temp(a11), s3 = make_temp(a11);
-  TiledMatrix s4 = make_temp(a11);
-  TiledMatrix t1 = make_temp(b11), t2 = make_temp(b11), t3 = make_temp(b11);
-  TiledMatrix t4 = make_temp(b11);
-  TiledMatrix p1 = make_temp(c11), p2 = make_temp(c11), p3 = make_temp(c11);
-  TiledMatrix p4 = make_temp(c11), p5 = make_temp(c11), p6 = make_temp(c11);
-  TiledMatrix p7 = make_temp(c11);
-
-  {
-    // Pre-additions (Fig. 1(c)). S2/S4 and T2/T4 chain on earlier sums —
-    // this sharing is Winograd's signature — so each side runs its chain in
-    // one task, with the independent S3/T3 adds in their own tasks.
-    obs::PhaseScope adds_phase("adds", par);
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(s1.root(), a21, +1.0, a22, fg);
-      block_set_add(s2.root(), s1.root(), -1.0, a11, fg);
-      block_set_add(s4.root(), a12, -1.0, s2.root(), fg);
-      treeprof::add_flops(3 * block_elems(s1.root()));
-    });
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(s3.root(), a11, -1.0, a21, fg);
-      treeprof::add_flops(block_elems(s3.root()));
-    });
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(t1.root(), b12, -1.0, b11, fg);
-      block_set_add(t2.root(), b22, -1.0, t1.root(), fg);
-      block_set_add(t4.root(), b21, -1.0, t2.root(), fg);
-      treeprof::add_flops(3 * block_elems(t1.root()));
-    });
-    fork(group, par, [&] {
-      treeprof::NodeScope add_node(path);
-      block_set_add(t3.root(), b22, -1.0, b12, fg);
-      treeprof::add_flops(block_elems(t3.root()));
-    });
-    group.wait();
-  }
-  {
-    TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(group, par, [&] {
-      p1.zero();
-      mul_winograd(ctx, p1.root(), a11, b11, treeprof::child_path(path, 0));
-    });
-    fork(group, par, [&] {
-      p2.zero();
-      mul_winograd(ctx, p2.root(), a12, b21, treeprof::child_path(path, 1));
-    });
-    fork(group, par, [&] {
-      p3.zero();
-      mul_winograd(ctx, p3.root(), s1.root(), t1.root(), treeprof::child_path(path, 2));
-    });
-    fork(group, par, [&] {
-      p4.zero();
-      mul_winograd(ctx, p4.root(), s2.root(), t2.root(), treeprof::child_path(path, 3));
-    });
-    fork(group, par, [&] {
-      p5.zero();
-      mul_winograd(ctx, p5.root(), s3.root(), t3.root(), treeprof::child_path(path, 4));
-    });
-    fork(group, par, [&] {
-      p6.zero();
-      mul_winograd(ctx, p6.root(), s4.root(), b22, treeprof::child_path(path, 5));
-    });
-    fork(group, par, [&] {
-      p7.zero();
-      mul_winograd(ctx, p7.root(), a22, t4.root(), treeprof::child_path(path, 6));
-    });
-    group.wait();
-  }
-  // Post-additions with Winograd's common-subexpression reuse: the U-chain
-  // accumulates in place into the P buffers (all orientation 0, so the
-  // aliased elementwise updates are safe).
-  obs::PhaseScope adds_phase("adds", par);
-  TaskGroup group(*ctx.pool, ctx.cancel, ctx.priority);
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc2(c11, +1.0, p1.root(), +1.0, p2.root(), fg);
-    treeprof::add_flops(2 * block_elems(c11));
-  });
-  fork(group, par, [&] {
-    treeprof::NodeScope add_node(path);
-    block_acc(p4.root(), 1.0, p1.root(), fg);   // U2 = P1 + P4
-    block_acc(p5.root(), 1.0, p4.root(), fg);   // U3 = U2 + P5
-    treeprof::add_flops(2 * block_elems(p4.root()));
-    TaskGroup inner(*ctx.pool, ctx.cancel, ctx.priority);
-    fork(inner, par, [&] {
-      treeprof::NodeScope inner_node(path);
-      block_acc2(c21, +1.0, p5.root(), +1.0, p7.root(), fg);
-      treeprof::add_flops(2 * block_elems(c21));
-    });
-    fork(inner, par, [&] {
-      treeprof::NodeScope inner_node(path);
-      block_acc2(c22, +1.0, p5.root(), +1.0, p3.root(), fg);
-      treeprof::add_flops(2 * block_elems(c22));
-    });
-    fork(inner, par, [&] {
-      treeprof::NodeScope inner_node(path);
-      block_acc3(c12, +1.0, p4.root(), +1.0, p3.root(), +1.0, p6.root(), fg);
-      treeprof::add_flops(3 * block_elems(c12));
-    });
-    inner.wait();
-  });
-  group.wait();
+  bilinear::run<TiledOps>(bilinear::kWinograd, ctx, c, a, b, path);
 }
 
 void mul_dispatch(const MulContext& ctx, Algorithm alg, const TiledBlock& c,
                   const TiledBlock& a, const TiledBlock& b,
                   std::uint64_t path) {
-  switch (alg) {
-    case Algorithm::Standard:
-      mul_standard(ctx, c, a, b, path);
-      break;
-    case Algorithm::Strassen:
-      mul_strassen(ctx, c, a, b, path);
-      break;
-    case Algorithm::Winograd:
-      mul_winograd(ctx, c, a, b, path);
-      break;
+  if (const bilinear::Row* row = bilinear::row_for(alg)) {
+    bilinear::run<TiledOps>(*row, ctx, c, a, b, path);
+  } else {
+    mul_standard(ctx, c, a, b, path);
   }
 }
 

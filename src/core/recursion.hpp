@@ -2,7 +2,10 @@
 
 // The three recursive multiplication algorithms over tiled blocks
 // (paper §2, Fig. 1), with the parallel spawn structure of §2 ("the seven or
-// eight calls are spawned in parallel") expressed as TaskGroup forks.
+// eight calls are spawned in parallel") expressed as TaskGroup forks. The
+// standard recursion is written out here; Strassen and Winograd are rows of
+// core/bilinear.hpp run by its engine through recursion.cpp's tiled-block
+// adapter.
 //
 // All routines compute C += A·B on blocks of equal level; A's tiles are
 // t_m × t_k, B's t_k × t_n, C's t_m × t_n. Temporaries are fresh TiledMatrix

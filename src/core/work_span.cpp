@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "core/bilinear.hpp"
 #include "layout/tiled_layout.hpp"
 
 namespace rla {
@@ -42,33 +43,62 @@ struct Model {
     return r;
   }
 
-  WorkSpan fast(int l, bool winograd) const {
+  double elems(bilinear::Side side, int l) const {
+    switch (side) {
+      case bilinear::Side::A:
+        return ea(l);
+      case bilinear::Side::B:
+        return eb(l);
+      case bilinear::Side::C:
+        break;
+    }
+    return ec(l);
+  }
+
+  /// An add program on level-(l-1) operands: every pass is work; each wave
+  /// costs its longest task.
+  WorkSpan program(const bilinear::Program& prog, int l) const {
+    WorkSpan r;
+    for (const bilinear::Wave& wave : prog) {
+      double longest = 0.0;
+      for (const bilinear::Task& task : wave) {
+        double t = 0.0;
+        for (const bilinear::Step& st : task) {
+          t += static_cast<double>(bilinear::passes(st)) *
+               elems(bilinear::side(st.dst), l);
+        }
+        r.work += t;
+        longest = std::max(longest, t);
+      }
+      r.span += longest;
+    }
+    return r;
+  }
+
+  WorkSpan fast(int l, const bilinear::Row& row) const {
     if (l <= p.fast_cutoff_level) return standard(l);
-    const WorkSpan child = fast(l - 1, winograd);
+    const WorkSpan child = fast(l - 1, row);
     const double a = ea(l - 1), b = eb(l - 1), c = ec(l - 1);
+    WorkSpan r;
     if (p.fast_variant == FastVariant::SerialLowMem) {
-      // Entirely sequential: span equals work. Expanded post-additions
-      // (18 for Strassen: 7 zeros + 11 C accumulations; Winograd expanded
-      // costs more adds than its parallel form — that is the trade).
-      const double pre = winograd ? (6.0 * a + 6.0 * b) : (5.0 * a + 5.0 * b);
-      const double post = winograd ? 14.0 * c : 11.0 * c;
-      WorkSpan r;
-      r.work = 7.0 * child.work + pre + 7.0 * c /*zeros*/ + post;
+      // Entirely sequential: span equals work. Each product's operands are
+      // built from its term lists (a set of the first two terms, an acc per
+      // further term); each product is zeroed and then accumulated once per
+      // C quadrant that names it.
+      double adds = 0.0;
+      for (std::size_t i = 0; i < 7; ++i) {
+        adds += static_cast<double>(row.a[i].size() - 1) * a +
+                static_cast<double>(row.b[i].size() - 1) * b;
+      }
+      for (const bilinear::Sum& cq : row.c) adds += static_cast<double>(cq.size()) * c;
+      r.work = 7.0 * child.work + 7.0 * c /*zeros*/ + adds;
       r.span = r.work;
       return r;
     }
-    WorkSpan r;
-    if (!winograd) {
-      // Strassen: 10 parallel pre-adds; 7 parallel (zero + product); post
-      // adds 4+2+2+4 element-passes, in parallel.
-      r.work = 7.0 * child.work + 5.0 * a + 5.0 * b + 7.0 * c + 12.0 * c;
-      r.span = std::max(a, b) + (c + child.span) + 4.0 * c;
-    } else {
-      // Winograd: two 3-add chains (+1 independent) per side; 7 parallel
-      // products; U-chain post-adds (see recursion.cpp).
-      r.work = 7.0 * child.work + 4.0 * a + 4.0 * b + 7.0 * c + 11.0 * c;
-      r.span = 3.0 * std::max(a, b) + (c + child.span) + 5.0 * c;
-    }
+    // Pre-add program; seven parallel (zero + product); post-add program.
+    const WorkSpan pre = program(row.pre, l - 1), post = program(row.post, l - 1);
+    r.work = 7.0 * child.work + pre.work + 7.0 * c + post.work;
+    r.span = pre.span + (c + child.span) + post.span;
     return r;
   }
 };
@@ -81,9 +111,8 @@ WorkSpan analyze_work_span(const WorkSpanParams& params) {
     case Algorithm::Standard:
       return m.standard(params.depth);
     case Algorithm::Strassen:
-      return m.fast(params.depth, false);
     case Algorithm::Winograd:
-      return m.fast(params.depth, true);
+      return m.fast(params.depth, *bilinear::row_for(params.algorithm));
   }
   return {};
 }

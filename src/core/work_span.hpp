@@ -7,7 +7,8 @@
 // processors busy versus ~23 for the fast algorithms, with work O(n^{2+δ})
 // and span O(lg² n).  Work/span is a property of the task DAG, independent
 // of the hardware, so we reproduce the claim by mirroring the exact spawn
-// structure of recursion.cpp: leaf multiplies cost 2·t_m·t_k·t_n flops,
+// structure of recursion.cpp and the bilinear rows (core/bilinear.hpp) they
+// run: leaf multiplies cost 2·t_m·t_k·t_n flops,
 // quadrant additions one flop per element (multi-operand adds one per
 // operand), temporary zeroing one store per element.
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <thread>
 #include <vector>
 
 #include "obs/treeprof/treeprof.hpp"
@@ -32,7 +31,7 @@ void set_current_trace_id(std::uint64_t trace) noexcept {
 
 namespace detail {
 
-std::atomic<Collector*> g_collector{nullptr};
+ArmedSlot<Collector> g_collector;
 
 namespace {
 
@@ -40,11 +39,6 @@ constexpr std::size_t kDefaultRingCapacity = 32768;
 
 /// Attach sessions, for invalidating thread-local buffer caches.
 std::atomic<std::uint64_t> g_generation{1};
-
-/// Emitters inside a hook. detach() clears g_collector then spins until this
-/// drains, so a pinned collector can never be freed under an emitter. Global
-/// (not a member) so the count survives the collector it protected.
-std::atomic<std::uint64_t> g_pins{0};
 
 /// Process-unique task ids; never reset (ids stay unique across collectors).
 std::atomic<std::uint64_t> g_next_task_id{1};
@@ -68,20 +62,6 @@ std::int64_t now_ns() noexcept {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Pin the armed collector for the duration of one emission. Pair every
-/// non-null return with unpin().
-Collector* pin() noexcept {
-  g_pins.fetch_add(1, std::memory_order_seq_cst);
-  Collector* c = g_collector.load(std::memory_order_seq_cst);
-  if (c == nullptr) {
-    g_pins.fetch_sub(1, std::memory_order_seq_cst);
-    return nullptr;
-  }
-  return c;
-}
-
-void unpin() noexcept { g_pins.fetch_sub(1, std::memory_order_seq_cst); }
 
 /// One executing task (or driver root) on this thread's frame stack.
 /// Exclusive time accrues only while the segment is open; helping (nested
@@ -128,9 +108,9 @@ std::int64_t span_now(const Frame& f, std::int64_t now) noexcept {
 }  // namespace
 
 void emit_event(const TraceEvent& e) {
-  if (Collector* c = pin()) {
+  if (Collector* c = g_collector.pin()) {
     c->thread_buffer().emit(e);
-    unpin();
+    g_collector.unpin();
   }
 }
 
@@ -171,7 +151,7 @@ void pop_frame(GroupObs* fold_into) {
   if (!tl_frames.empty() && f.parent_was_open) {
     open_segment(tl_frames.back(), now);
   }
-  if (Collector* c = pin()) {
+  if (Collector* c = g_collector.pin()) {
     c->tasks_.fetch_add(1, std::memory_order_relaxed);
     c->work_ns_.fetch_add(f.excl_ns, std::memory_order_relaxed);
     if (f.root) c->span_ns_.fetch_add(f.span_ns, std::memory_order_relaxed);
@@ -193,7 +173,7 @@ void pop_frame(GroupObs* fold_into) {
     e.excl_ns = f.excl_ns;
     e.migrated = f.migrated;
     buf.emit(e);
-    unpin();
+    g_collector.unpin();
   }
 }
 
@@ -320,7 +300,6 @@ int worker_hint() noexcept { return tl_worker_hint; }
 using detail::g_buffers_created;
 using detail::g_collector;
 using detail::g_generation;
-using detail::g_pins;
 
 namespace {
 
@@ -346,11 +325,7 @@ Collector::Collector(std::size_t ring_capacity) {
 Collector::~Collector() { detach(); }
 
 bool Collector::try_attach() {
-  Collector* expected = nullptr;
-  if (!g_collector.compare_exchange_strong(expected, this,
-                                           std::memory_order_seq_cst)) {
-    return false;
-  }
+  if (!g_collector.try_arm(this)) return false;
   epoch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now().time_since_epoch())
                   .count();
@@ -361,14 +336,9 @@ bool Collector::try_attach() {
 
 void Collector::detach() {
   if (!attached_) return;
-  Collector* expected = this;
-  g_collector.compare_exchange_strong(expected, nullptr,
-                                      std::memory_order_seq_cst);
-  // Spin out emitters that pinned before the slot cleared. Pins bracket a
-  // few ring-buffer stores, so this is bounded and short.
-  while (g_pins.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
+  // Waits out emitters that pinned before the slot cleared; pins bracket a
+  // few ring-buffer stores, so this is short.
+  g_collector.disarm(this);
   attached_ = false;
 }
 

@@ -17,6 +17,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "obs/armed_slot.hpp"
+
 namespace rla::obs {
 
 class Collector;
@@ -52,8 +54,8 @@ struct GroupObs {
 namespace detail {
 
 /// The armed collector (null = tracing off). Set by Collector::try_attach /
-/// detach; hooks use a pin protocol (see collector.cpp) before touching it.
-extern std::atomic<Collector*> g_collector;
+/// detach; hooks pin it (obs/armed_slot.hpp) before touching it.
+extern ArmedSlot<Collector> g_collector;
 
 // Out-of-line slow paths (collector.cpp). Call only from the scope objects
 // below, which guarantee balanced begin/end.
@@ -73,7 +75,7 @@ int worker_hint() noexcept;
 
 /// True while a Collector is armed (one relaxed load).
 inline bool armed() noexcept {
-  return detail::g_collector.load(std::memory_order_relaxed) != nullptr;
+  return detail::g_collector.peek() != nullptr;
 }
 
 namespace treeprof {

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/armed_slot.hpp"
 #include "support/sync.hpp"
 
 namespace rla::obs::perf {
@@ -171,14 +172,14 @@ class Session {
 };
 
 namespace detail {
-/// The armed session (null = off); same pin protocol as the Collector.
-extern std::atomic<Session*> g_session;
+/// The armed session (null = off); hooks pin it (obs/armed_slot.hpp).
+extern ArmedSlot<Session> g_session;
 void join_slow();
 }  // namespace detail
 
 /// True while a Session is armed and counting (one relaxed load).
 inline bool counting() noexcept {
-  return detail::g_session.load(std::memory_order_relaxed) != nullptr;
+  return detail::g_session.peek() != nullptr;
 }
 
 /// Hot hook for task-executing threads: lazily opens this thread's counter

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <unordered_map>
 
+#include "obs/armed_slot.hpp"
 #include "obs/collector.hpp"
 #include "util/env.hpp"
 
@@ -46,30 +46,14 @@ int default_max_depth() {
   return d;
 }
 
-// ---- session slot (same pin protocol as Collector / perf::Session) ----------
+// ---- session slot (obs/armed_slot.hpp, as for Collector / perf::Session) ---
 
 namespace {
 
-std::atomic<Session*> g_session{nullptr};
+ArmedSlot<Session> g_session;
 
 /// Attach generations, invalidating per-thread table and frame caches.
 std::atomic<std::uint64_t> g_generation{1};
-
-/// Threads currently inside a session operation; detach() clears the slot
-/// then drains this before returning.
-std::atomic<std::uint64_t> g_pins{0};
-
-Session* pin() noexcept {
-  g_pins.fetch_add(1, std::memory_order_seq_cst);
-  Session* s = g_session.load(std::memory_order_seq_cst);
-  if (s == nullptr) {
-    g_pins.fetch_sub(1, std::memory_order_seq_cst);
-    return nullptr;
-  }
-  return s;
-}
-
-void unpin() noexcept { g_pins.fetch_sub(1, std::memory_order_seq_cst); }
 
 std::int64_t now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -151,12 +135,10 @@ Session::Session(int max_depth) : max_depth_(max_depth) {
 Session::~Session() { detach(); }
 
 bool Session::try_attach() {
-  Session* expected = nullptr;
-  if (!g_session.compare_exchange_strong(expected, this,
-                                         std::memory_order_seq_cst)) {
-    return false;
-  }
+  if (attached_) return false;
+  // Hooks read gen_ through the armed slot, so it is set before arming.
   gen_ = g_generation.fetch_add(1, std::memory_order_seq_cst) + 1;
+  if (!g_session.try_arm(this)) return false;
   attached_ = true;
   detail::g_armed.store(true, std::memory_order_seq_cst);
   return true;
@@ -165,12 +147,7 @@ bool Session::try_attach() {
 void Session::detach() {
   if (!attached_) return;
   detail::g_armed.store(false, std::memory_order_seq_cst);
-  Session* expected = this;
-  g_session.compare_exchange_strong(expected, nullptr,
-                                    std::memory_order_seq_cst);
-  while (g_pins.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
+  g_session.disarm(this);
   attached_ = false;
 }
 
@@ -219,7 +196,7 @@ namespace {
 /// Flush a finished frame into the armed session's per-thread table,
 /// dropping it when the session changed since the frame opened.
 void flush_to_table(const Frame& f) {
-  Session* s = pin();
+  Session* s = g_session.pin();
   if (s == nullptr) return;
   if (s->generation() == f.gen) {
     Session::Table* t = s->table_for_current_thread();
@@ -229,24 +206,28 @@ void flush_to_table(const Frame& f) {
     n.tasks += f.tasks;
     n.hw.accumulate(f.hw);
   }
-  unpin();
+  g_session.unpin();
 }
 
 }  // namespace
 
 NodeScope::NodeScope(std::uint64_t path) noexcept {
   if (!armed()) return;
-  Session* s = pin();
+  Session* s = g_session.pin();
   if (s == nullptr) return;
   const int depth = path_depth(path);
   if (depth > s->max_depth()) {
-    // Deeper than the frame cap: the cost rolls up into the enclosing
-    // frame; only the task tally records this node ran.
-    if (!tl_stack.empty() && tl_stack.back().gen == s->generation()) {
+    // Deeper than the frame cap: the node is charged to its ancestor at the
+    // cap. Usually that ancestor's frame is on top of this thread's stack
+    // and only the task tally records this node ran; a capped task stolen
+    // or injected onto another thread opens a frame for the ancestor there.
+    path >>= 3 * (depth - s->max_depth());
+    if (!tl_stack.empty() && tl_stack.back().path == path &&
+        tl_stack.back().gen == s->generation()) {
       tl_stack.back().tasks += 1;
+      g_session.unpin();
+      return;
     }
-    unpin();
-    return;
   }
   const std::int64_t now = now_ns();
   if (!tl_stack.empty()) {
@@ -264,7 +245,7 @@ NodeScope::NodeScope(std::uint64_t path) noexcept {
   f.tasks = 1;
   tl_stack.push_back(f);
   open_ = true;
-  unpin();
+  g_session.unpin();
 }
 
 NodeScope::~NodeScope() {

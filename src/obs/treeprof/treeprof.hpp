@@ -20,11 +20,14 @@
 // table registered with the session once (under a mutex), updated without
 // synchronization, and folded after detach()'s quiescence barrier.
 //
-// Nodes deeper than the session's max_depth do not open frames; their cost
-// rolls up into the nearest ancestor at max_depth. That bounds table size,
-// trace-ring usage and PMU read frequency, and it is what makes the
-// per-depth tables reconcile: every level's exclusive sums add up to the
-// whole compute phase.
+// Nodes deeper than the session's max_depth do not open frames of their
+// own; their cost rolls up into their ancestor at max_depth (the path
+// truncated to the cap). A capped node running on a thread whose top frame
+// is not that ancestor — a stolen or injected task — opens a frame for the
+// ancestor there, so no thread drops or misattributes capped work. That
+// bounds table size, trace-ring usage and PMU read frequency, and it is
+// what makes the per-depth tables reconcile: every level's exclusive sums
+// add up to the whole compute phase.
 //
 // Path encoding: a 1-sentinel followed by one 3-bit digit per child step
 // (standard recursion forks 8 children, Strassen/Winograd 7 products), so
@@ -32,8 +35,8 @@
 // count. Rendered as "d<depth>" for the root and "d<depth>:<digits>"
 // otherwise, e.g. "d3:021".
 //
-// One Session is armed at a time (process-global slot, same protocol as the
-// trace Collector and the perf Session); a second arming attempt fails and
+// One Session is armed at a time (a process-global obs::ArmedSlot, as for
+// the trace Collector and the perf Session); a second arming attempt fails and
 // the caller degrades with a "treeprof:busy" trail entry.
 
 #include <cstdint>

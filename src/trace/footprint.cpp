@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/bilinear.hpp"
 #include "layout/bits.hpp"
 
 namespace rla::trace {
@@ -13,8 +14,6 @@ struct Cell {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
 
-  Cell operator+(const Cell& other) const { return {a | other.a, b | other.b}; }
-  Cell operator-(const Cell& other) const { return {a | other.a, b | other.b}; }
   Cell operator*(const Cell& other) const { return {a | other.a, b | other.b}; }
   Cell& operator+=(const Cell& other) {
     a |= other.a;
@@ -45,21 +44,16 @@ struct Owner {
   }
 };
 
-void set_add(const SetMat& d, const SetMat& x, const SetMat& y) {
-  for (std::uint32_t i = 0; i < d.size; ++i) {
-    for (std::uint32_t j = 0; j < d.size; ++j) d.at(i, j) = x.at(i, j) + y.at(i, j);
-  }
-}
-
 void acc(const SetMat& d, const SetMat& x) {
   for (std::uint32_t i = 0; i < d.size; ++i) {
     for (std::uint32_t j = 0; j < d.size; ++j) d.at(i, j) += x.at(i, j);
   }
 }
 
-void mul_std(const SetMat& c, const SetMat& a, const SetMat& b);
-void mul_strassen(const SetMat& c, const SetMat& a, const SetMat& b);
-void mul_winograd(const SetMat& c, const SetMat& a, const SetMat& b);
+/// Quadrant q (0 NW, 1 NE, 2 SW, 3 SE) of m.
+SetMat quadrant(const SetMat& m, std::size_t q) {
+  return m.quad(static_cast<std::uint32_t>(q >> 1), static_cast<std::uint32_t>(q & 1));
+}
 
 void mul_std(const SetMat& c, const SetMat& a, const SetMat& b) {
   if (c.size == 1) {
@@ -75,108 +69,33 @@ void mul_std(const SetMat& c, const SetMat& a, const SetMat& b) {
   }
 }
 
-template <typename Recurse>
-void mul_fast(const SetMat& c, const SetMat& a, const SetMat& b, bool winograd,
-              Recurse&& recurse) {
+/// A fast algorithm's row evaluated over the semiring: each product reads
+/// the union of its operands' terms, each C quadrant the union of its Ps.
+/// Signs and the add schedule do not change a union, so the term lists are
+/// the whole dependence structure.
+void mul_row(const bilinear::Row& row, const SetMat& c, const SetMat& a,
+              const SetMat& b) {
+  using bilinear::idx, bilinear::Slot;
   if (c.size == 1) {
     c.at(0, 0) += a.at(0, 0) * b.at(0, 0);
     return;
   }
   const std::uint32_t h = c.size / 2;
-  (void)h;
-  const SetMat a11 = a.quad(0, 0), a12 = a.quad(0, 1), a21 = a.quad(1, 0),
-               a22 = a.quad(1, 1);
-  const SetMat b11 = b.quad(0, 0), b12 = b.quad(0, 1), b21 = b.quad(1, 0),
-               b22 = b.quad(1, 1);
-  const SetMat c11 = c.quad(0, 0), c12 = c.quad(0, 1), c21 = c.quad(1, 0),
-               c22 = c.quad(1, 1);
-
-  const std::uint32_t hs = c.size / 2;
-  std::vector<Owner> s, t, p;
-  // Reserve first: each Owner's view points at its own cell store, so the
-  // vectors must never reallocate.
-  s.reserve(5);
-  t.reserve(5);
-  p.reserve(7);
-  for (int i = 0; i < 5; ++i) s.emplace_back(hs);
-  for (int i = 0; i < 5; ++i) t.emplace_back(hs);
-  for (int i = 0; i < 7; ++i) p.emplace_back(hs);
-  auto S = [&](int i) { return s[static_cast<std::size_t>(i - 1)].mat; };
-  auto T = [&](int i) { return t[static_cast<std::size_t>(i - 1)].mat; };
-  auto P = [&](int i) { return p[static_cast<std::size_t>(i - 1)].mat; };
-
-  if (!winograd) {
-    set_add(S(1), a11, a22);
-    set_add(S(2), a21, a22);
-    set_add(S(3), a11, a12);
-    set_add(S(4), a21, a11);
-    set_add(S(5), a12, a22);
-    set_add(T(1), b11, b22);
-    set_add(T(2), b12, b22);
-    set_add(T(3), b21, b11);
-    set_add(T(4), b11, b12);
-    set_add(T(5), b21, b22);
-    recurse(P(1), S(1), T(1));
-    recurse(P(2), S(2), b11);
-    recurse(P(3), a11, T(2));
-    recurse(P(4), a22, T(3));
-    recurse(P(5), S(3), b22);
-    recurse(P(6), S(4), T(4));
-    recurse(P(7), S(5), T(5));
-    acc(c11, P(1));
-    acc(c11, P(4));
-    acc(c11, P(5));
-    acc(c11, P(7));
-    acc(c21, P(2));
-    acc(c21, P(4));
-    acc(c12, P(3));
-    acc(c12, P(5));
-    acc(c22, P(1));
-    acc(c22, P(3));
-    acc(c22, P(2));
-    acc(c22, P(6));
-  } else {
-    set_add(S(1), a21, a22);
-    set_add(S(2), S(1), a11);
-    set_add(S(3), a11, a21);
-    set_add(S(4), a12, S(2));
-    set_add(T(1), b12, b11);
-    set_add(T(2), b22, T(1));
-    set_add(T(3), b22, b12);
-    set_add(T(4), b21, T(2));
-    recurse(P(1), a11, b11);
-    recurse(P(2), a12, b21);
-    recurse(P(3), S(1), T(1));
-    recurse(P(4), S(2), T(2));
-    recurse(P(5), S(3), T(3));
-    recurse(P(6), S(4), b22);
-    recurse(P(7), a22, T(4));
-    acc(c11, P(1));
-    acc(c11, P(2));
-    acc(P(4), P(1));  // U2
-    acc(P(5), P(4));  // U3
-    acc(c21, P(5));
-    acc(c21, P(7));
-    acc(c22, P(5));
-    acc(c22, P(3));
-    acc(c12, P(4));
-    acc(c12, P(3));
-    acc(c12, P(6));
+  for (std::size_t i = 0; i < 7; ++i) {
+    Owner x(h), y(h), p(h);
+    for (const bilinear::Term& t : row.a[i]) {
+      acc(x.mat, quadrant(a, idx(t.x) - idx(Slot::A11)));
+    }
+    for (const bilinear::Term& t : row.b[i]) {
+      acc(y.mat, quadrant(b, idx(t.x) - idx(Slot::B11)));
+    }
+    mul_row(row, p.mat, x.mat, y.mat);
+    for (std::size_t q = 0; q < 4; ++q) {
+      for (const bilinear::Term& t : row.c[q]) {
+        if (t.x == bilinear::nth(Slot::P1, i)) acc(quadrant(c, q), p.mat);
+      }
+    }
   }
-}
-
-void mul_strassen(const SetMat& c, const SetMat& a, const SetMat& b) {
-  mul_fast(c, a, b, false,
-           [](const SetMat& cc, const SetMat& aa, const SetMat& bb) {
-             mul_strassen(cc, aa, bb);
-           });
-}
-
-void mul_winograd(const SetMat& c, const SetMat& a, const SetMat& b) {
-  mul_fast(c, a, b, true,
-           [](const SetMat& cc, const SetMat& aa, const SetMat& bb) {
-             mul_winograd(cc, aa, bb);
-           });
 }
 
 }  // namespace
@@ -209,10 +128,8 @@ FootprintResult footprint(Algorithm alg, std::uint32_t n) {
       mul_std(c.mat, a.mat, b.mat);
       break;
     case Algorithm::Strassen:
-      mul_strassen(c.mat, a.mat, b.mat);
-      break;
     case Algorithm::Winograd:
-      mul_winograd(c.mat, a.mat, b.mat);
+      mul_row(*bilinear::row_for(alg), c.mat, a.mat, b.mat);
       break;
   }
   FootprintResult result;

@@ -110,13 +110,16 @@ TEST_P(AddTest, MultiOperandAccumulators) {
   z2.zero();
   z3.zero();
   z4.zero();
-  block_acc2(z2.root().quadrant(kNW), +1.0, p1.root().quadrant(kSE), -1.0,
-             p2.root().quadrant(kNE));
-  block_acc3(z3.root().quadrant(kNW), +1.0, p1.root().quadrant(kNW), +1.0,
-             p2.root().quadrant(kSW), -1.0, p3.root().quadrant(kSE));
-  block_acc4(z4.root().quadrant(kSE), +1.0, p1.root().quadrant(kNW), +1.0,
-             p2.root().quadrant(kNE), -1.0, p3.root().quadrant(kSW), +1.0,
-             p4.root().quadrant(kSE));
+  const double s2[] = {+1.0, -1.0}, s3[] = {+1.0, +1.0, -1.0},
+               s4[] = {+1.0, +1.0, -1.0, +1.0};
+  const TiledBlock q2[] = {p1.root().quadrant(kSE), p2.root().quadrant(kNE)};
+  const TiledBlock q3[] = {p1.root().quadrant(kNW), p2.root().quadrant(kSW),
+                           p3.root().quadrant(kSE)};
+  const TiledBlock q4[] = {p1.root().quadrant(kNW), p2.root().quadrant(kNE),
+                           p3.root().quadrant(kSW), p4.root().quadrant(kSE)};
+  block_acc_n(z2.root().quadrant(kNW), 2, s2, q2);
+  block_acc_n(z3.root().quadrant(kNW), 3, s3, q3);
+  block_acc_n(z4.root().quadrant(kSE), 4, s4, q4);
   for (std::uint32_t u = 0; u < h; u += 5) {
     for (std::uint32_t v = 0; v < h; v += 5) {
       ASSERT_DOUBLE_EQ(z2.at(u, v), p1.at(h + u, h + v) - p2.at(u, h + v))

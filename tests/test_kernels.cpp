@@ -123,16 +123,18 @@ TEST(Kernels, VectorOps) {
     ASSERT_DOUBLE_EQ(dst[i], a[i] - b[i] + 2.0 * c[i]);
   }
 
+  const double s2[] = {1.0, -1.0}, s3[] = {1.0, 1.0, 1.0}, s4[] = {1.0, -1.0, 1.0, -1.0};
+  const double* src[] = {a.data(), b.data(), c.data(), d.data()};
   std::fill(dst.begin(), dst.end(), 1.0);
-  vacc2(dst.data(), 1.0, a.data(), -1.0, b.data(), n);
+  vacc_n(dst.data(), 2, s2, src, n);
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_DOUBLE_EQ(dst[i], 1.0 + a[i] - b[i]);
 
   std::fill(dst.begin(), dst.end(), 0.0);
-  vacc3(dst.data(), 1.0, a.data(), 1.0, b.data(), 1.0, c.data(), n);
+  vacc_n(dst.data(), 3, s3, src, n);
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_DOUBLE_EQ(dst[i], a[i] + b[i] + c[i]);
 
   std::fill(dst.begin(), dst.end(), 0.0);
-  vacc4(dst.data(), 1.0, a.data(), -1.0, b.data(), 1.0, c.data(), -1.0, d.data(), n);
+  vacc_n(dst.data(), 4, s4, src, n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_DOUBLE_EQ(dst[i], a[i] - b[i] + c[i] - d[i]);
   }

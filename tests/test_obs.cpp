@@ -11,8 +11,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/gemm.hpp"
+#include "obs/armed_slot.hpp"
 #include "obs/collector.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -400,6 +403,56 @@ TEST(Tracer, ComposesWithRaceDetectionAndFpCheck) {
   EXPECT_GT(profile.tasks_traced, 0u);
   // Serial schedule: measured parallelism is still the DAG's, not 1.0.
   EXPECT_GT(profile.achieved_parallelism, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Slot liveness: disarm/detach are bounded while other threads keep pinning
+// (run alone in CI with --repeat until-fail:50).
+
+TEST(SlotLiveness, ArmedSlotDisarmWaitsOnlyForPinsInFlight) {
+  obs::ArmedSlot<int> slot;
+  int owner = 0;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> pinned{0};
+  std::vector<std::thread> hooks;
+  for (int t = 0; t < 3; ++t) {
+    hooks.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (int* p = slot.pin()) {
+          EXPECT_EQ(p, &owner);
+          pinned.fetch_add(1, std::memory_order_relaxed);
+          slot.unpin();
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(slot.try_arm(&owner));
+    EXPECT_FALSE(slot.try_arm(&owner));  // one owner at a time
+    slot.disarm(&owner);
+    EXPECT_EQ(slot.pin(), nullptr);  // nothing new pins a clear slot
+  }
+  stop.store(true);
+  for (auto& th : hooks) th.join();
+  EXPECT_EQ(slot.peek(), nullptr);
+}
+
+TEST(SlotLiveness, CollectorDetachUnderContinuousEmitters) {
+  obs::Collector collector(64);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < 3; ++t) {
+    emitters.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) obs::PhaseScope phase("hammer");
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(collector.try_attach());
+    collector.detach();
+  }
+  stop.store(true);
+  for (auto& th : emitters) th.join();
+  EXPECT_FALSE(collector.attached());
 }
 
 }  // namespace

@@ -136,5 +136,37 @@ TEST(WorkSpan, RectangularTiles) {
   EXPECT_GT(ws.parallelism(), 1.0);
 }
 
+TEST(WorkSpan, LowMemAddWorkMatchesExecutedPasses) {
+  // The model counts leaf multiplies, add passes and temporary zeroing; the
+  // tree profiler counts the first two as executed. Their difference must
+  // be exactly the zeroing: one store per element of the seven P
+  // temporaries of every inner node (64 over 8-element tiles: three levels).
+  constexpr std::uint32_t kN = 64, kTile = 8;
+  for (Algorithm alg : {Algorithm::Strassen, Algorithm::Winograd}) {
+    GemmConfig cfg;
+    cfg.algorithm = alg;
+    cfg.fast_variant = FastVariant::SerialLowMem;
+    cfg.tiles = {kTile, kTile, kTile};
+    cfg.tree_profile = true;
+    Matrix a = testing::random_matrix(kN, kN, 1), b = testing::random_matrix(kN, kN, 2);
+    Matrix c(kN, kN);
+    GemmProfile profile;
+    gemm(kN, kN, kN, 1.0, a.data(), a.ld(), Op::None, b.data(), b.ld(), Op::None, 0.0,
+         c.data(), c.ld(), cfg, &profile);
+    ASSERT_TRUE(profile.tree_measured);
+    double executed = 0.0;
+    for (const auto& node : profile.tree_profile) {
+      executed += static_cast<double>(node.flops);
+    }
+    double zeros = 0.0;
+    for (int level = 1, nodes = 49; level <= 3; ++level, nodes /= 7) {
+      const double half = static_cast<double>(kTile << (level - 1));
+      zeros += nodes * 7.0 * half * half;
+    }
+    EXPECT_DOUBLE_EQ(analyze_gemm(kN, kN, kN, cfg).work, executed + zeros)
+        << static_cast<int>(alg);
+  }
+}
+
 }  // namespace
 }  // namespace rla
