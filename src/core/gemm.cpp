@@ -456,6 +456,11 @@ void run_canonical(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alp
   ctx.pool = &pool;
   ctx.cancel = cfg.cancel;
   ctx.priority = cfg.priority;
+  // Call-local cancellation: a fast node's temporary failing alloc.temp in a
+  // forked task prunes its sibling subtrees before run_canonical_degrading
+  // reruns the call as Standard.
+  std::atomic<bool> failed{false};
+  ctx.abort = &failed;
 
   // The fast canonical recursion halves a padded square all the way to the
   // leaf (no cutoff knob), so the bound is modeled on the padded side: its
@@ -520,8 +525,8 @@ void run_canonical(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alp
   }
 
   // Fast algorithms: pad to a square whose side halves down to the leaf.
-  // These three side² buffers are the canonical fast path's equivalent of
-  // the recursion temporaries, so they share the alloc.temp injection site.
+  // These three side² buffers draw the alloc.temp injection site once here;
+  // each fast node's own temporaries draw it again (bilinear::temp).
   fault::maybe_fail_alloc(fault::Site::AllocTemp);
 
   Matrix pa(side, side), pb(side, side), pc(side, side);

@@ -212,6 +212,48 @@ TEST(FaultGemm, CanonicalFastPathFallsBackToStandard) {
   EXPECT_TRUE(trail_contains(profile, "alloc:canonical-standard"));
 }
 
+TEST(FaultGemm, CanonicalMidTreeAllocFailurePrunesSiblings) {
+  // alloc.temp draws once for the padded buffers, then 17 times for the
+  // root node's temporaries, so the 30th draw fails inside the first forked
+  // product node. Race detection runs the forked task DAG on the serial
+  // depth-first schedule, which makes the pruning exact: the call-local
+  // abort flag must stop the six sibling products at their entry, so the
+  // fast attempt leaves only the root's ten pre-add passes behind before
+  // gemm() reruns the call as Standard.
+  constexpr std::uint32_t kN = 128, kHalf = kN / 2;
+  GemmConfig cfg;
+  cfg.layout = Curve::ColMajor;
+  cfg.detect_races = true;
+  cfg.tree_profile = true;
+  auto flops_of = [&](Algorithm alg, const char* spec, GemmProfile* profile) {
+    GemmConfig run = cfg;
+    run.algorithm = alg;
+    run.fault_spec = spec;
+    EXPECT_LT(run_vs_reference(kN, kN, kN, 1.0, 0.5, run, profile), 1e-10);
+    EXPECT_TRUE(profile->tree_measured);
+    std::uint64_t total = 0;
+    for (const auto& node : profile->tree_profile) total += node.flops;
+    return total;
+  };
+  GemmProfile standard, faulted;
+  const std::uint64_t std_flops = flops_of(Algorithm::Standard, "", &standard);
+  const std::uint64_t faulted_flops =
+      flops_of(Algorithm::Strassen, "alloc.temp:nth=30", &faulted);
+  EXPECT_TRUE(trail_contains(faulted, "alloc:canonical-standard"));
+  EXPECT_EQ(faulted_flops, std_flops + 10ull * kHalf * kHalf);
+
+  // The same failure on a worker thread: siblings already running finish
+  // their current node, the groups drain, and the rerun is exact.
+  GemmConfig par = cfg;
+  par.detect_races = false;
+  par.threads = 4;
+  par.algorithm = Algorithm::Strassen;
+  par.fault_spec = "alloc.temp:nth=30";
+  GemmProfile profile;
+  EXPECT_LT(run_vs_reference(2 * kN, 2 * kN, 2 * kN, 1.0, 0.5, par, &profile), 1e-9);
+  EXPECT_TRUE(trail_contains(profile, "alloc:canonical-standard"));
+}
+
 // ---------------------------------------------------------------------------
 // Worker-pool thread-creation failure.
 

@@ -175,6 +175,15 @@ TEST(PerfUnavailable, BusySessionDegradesConcurrentCall) {
   const GemmProfile profile = run_profiled(64, cfg);
   EXPECT_FALSE(profile.hw_measured);
   EXPECT_TRUE(trail_contains(profile, "perf:busy"));
+  {
+    // A busy slot fails before any counter group is opened (no perf.open
+    // draw), and an armed session does not attach a second time.
+    fault::ScopedPlan plan("perf.open:p=0");
+    obs::perf::Session second;
+    EXPECT_FALSE(second.try_attach());
+    EXPECT_FALSE(outer.try_attach());
+    EXPECT_EQ(fault::hits(fault::Site::PerfOpen), 0u);
+  }
   outer.detach();
 }
 
