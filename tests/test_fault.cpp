@@ -480,5 +480,32 @@ TEST(Verify, StandardAlgorithmIgnoresVerifyFlag) {
   EXPECT_EQ(profile.verify_probes, 0);
 }
 
+TEST(Verify, RerunThatStillFailsThrowsWithTrailAndProfile) {
+  // Every leaf call corrupts, so the Standard rerun fails the check too: the
+  // driver gives up with VerificationFailed, after filling the profile.
+  GemmConfig cfg;
+  cfg.layout = Curve::ZMorton;
+  cfg.algorithm = Algorithm::Strassen;
+  cfg.verify = true;
+  cfg.fault_spec = "kernel.corrupt:p=1";
+  GemmProfile profile;
+  try {
+    run_vs_reference(64, 64, 64, 1.0, 0.5, cfg, &profile);
+    FAIL() << "expected rla::Error{VerificationFailed}";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::VerificationFailed);
+    EXPECT_NE(std::string(e.what()).find(
+                  "standard-algorithm rerun still fails verification"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::find(e.trail().begin(), e.trail().end(),
+                        "verify:failed->standard"),
+              e.trail().end());
+  }
+  EXPECT_TRUE(profile.verify_failed);
+  EXPECT_TRUE(profile.verify_rerun);
+  EXPECT_TRUE(trail_contains(profile, "verify:failed->standard"));
+}
+
 }  // namespace
 }  // namespace rla
