@@ -62,7 +62,6 @@ struct ProfileSink {
 
   void add(double conv_in, double compute, double conv_out, int depth,
            std::uint32_t tm, std::uint32_t tk, std::uint32_t tn) {
-    if (out == nullptr) return;
     MutexLock lock(mutex);
     out->convert_in += conv_in;
     out->compute += compute;
@@ -74,7 +73,6 @@ struct ProfileSink {
   }
 
   void count_split() {
-    if (out == nullptr) return;
     MutexLock lock(mutex);
     ++out->splits;
   }
@@ -87,7 +85,6 @@ struct ProfileSink {
   /// Record the a priori bound of one executed piece; the profile keeps the
   /// worst (largest) bound across split pieces.
   void set_bound(const numerics::ErrorBound& b) {
-    if (out == nullptr) return;
     MutexLock lock(mutex);
     if (b.constant >= out->bound_constant) {
       out->bound_constant = b.constant;
@@ -111,7 +108,6 @@ struct ProfileSink {
 
   /// Copy the trail into the caller's profile (call once, at quiescence).
   void flush_trail() {
-    if (out == nullptr) return;
     MutexLock lock(mutex);
     out->degradation_trail = trail;
     out->degradations = static_cast<int>(trail.size());
@@ -392,17 +388,13 @@ std::uint32_t split_point(std::uint32_t x, const TileRange& tiles) {
 void run_or_split(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
                   Operand a, Operand b, double beta, double* c, std::size_t ldc,
                   const GemmConfig& cfg, WorkerPool& pool, ProfileSink& sink) {
-  if (cfg.forced_depth >= 0) {
-    const auto depth = choose_depth(m, n, k, cfg);
-    if (!depth) throw std::invalid_argument("forced_depth infeasible for shape");
-    run_piece_degrading(m, n, k, alpha, a, b, beta, c, ldc, *depth, cfg, pool,
-                        sink);
-    return;
-  }
   if (const auto depth = choose_depth(m, n, k, cfg)) {
     run_piece_degrading(m, n, k, alpha, a, b, beta, c, ldc, *depth, cfg, pool,
                         sink);
     return;
+  }
+  if (cfg.forced_depth >= 0) {
+    throw std::invalid_argument("forced_depth infeasible for shape");
   }
   // Wide or lean shape (paper Fig. 3): split the largest extent and
   // reconstruct the product from squat pieces.
@@ -625,6 +617,36 @@ void check_ld_overflow(std::size_t ld, std::uint32_t cols, const char* name) {
   }
 }
 
+/// Arm one process-wide instrument slot (perf, collector, treeprof) for this
+/// call when `want` is set. A slot another call holds leaves `session` empty
+/// and "<name>:busy" on the trail: the call runs uninstrumented instead of
+/// corrupting the holder's results.
+template <class Session>
+void attach_or_degrade(std::optional<Session>& session, bool want,
+                       const char* name, ProfileSink& sink) {
+  if (!want) return;
+  session.emplace();
+  if (!session->try_attach()) {
+    sink.degrade(std::string(name) + ":busy");
+    session.reset();
+  }
+}
+
+/// The pool's scheduler counters in the profile's form, minus `base` (the
+/// reading at gemm() entry), so a long-lived external pool reports only this
+/// call's activity; deque_high_water stays a pool-lifetime max.
+GemmProfile::SchedStats sched_since(const WorkerPool& pool,
+                                    const GemmProfile::SchedStats& base = {}) {
+  const WorkerPool::SchedStats t = pool.sched_totals();
+  return {pool.thread_count(),
+          pool.tasks_executed() - base.tasks,
+          t.steals - base.steals,
+          t.failed_steals - base.failed_steals,
+          t.idle_wakeups - base.idle_wakeups,
+          t.injection_pops - base.injection_pops,
+          t.deque_high_water};
+}
+
 }  // namespace
 
 void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
@@ -635,12 +657,16 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
   if (c == nullptr || ldc < m) throw std::invalid_argument("gemm: bad C/ldc");
   check_ld_overflow(ldc, n, "C");
   if (m == 0 || n == 0) return;
-  if (profile != nullptr) *profile = GemmProfile{};
+  // Without a caller profile the driver fills a local one, so nothing below
+  // needs a null check.
+  GemmProfile local_profile;
+  GemmProfile& prof = profile != nullptr ? *profile : local_profile;
+  prof = GemmProfile{};
 
   Timer total;
   if (alpha == 0.0 || k == 0) {
     if (beta != 1.0) strided_scale(c, ldc, beta, m, n);
-    if (profile != nullptr) profile->total = total.seconds();
+    prof.total = total.seconds();
     return;
   }
   if (a == nullptr || b == nullptr) throw std::invalid_argument("gemm: null A/B");
@@ -663,7 +689,7 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
   if (!cfg.fault_spec.empty()) scoped_plan.emplace(cfg.fault_spec);
 
   ProfileSink sink;
-  sink.out = profile;
+  sink.out = &prof;
 
   // Request-scoped trace id: explicit from the config, else whatever is
   // already ambient (a service executor running several pieces under one
@@ -673,7 +699,7 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
   const std::uint64_t trace_id =
       cfg.trace_id != 0 ? cfg.trace_id : obs::current_trace_id();
   obs::TraceIdScope trace_id_scope(trace_id);
-  if (profile != nullptr) profile->trace_id = trace_id;
+  prof.trace_id = trace_id;
 
   std::optional<WorkerPool> owned;
   WorkerPool* pool = cfg.pool;
@@ -700,63 +726,36 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
     }
   }
 
-  // Hardware performance counters (perf_event_open). One armed session per
-  // process, like the collector below; a kernel refusal (paranoid level,
-  // seccomp, PMU-less VM) degrades the call to uncounted instead of failing
-  // it, with the reason on record.
-  const bool want_hw = cfg.hw_counters || env_int("RLA_PERF", 0) != 0;
+  // Hardware performance counters (perf_event_open). A kernel refusal
+  // (paranoid level, seccomp, PMU-less VM) degrades the call to uncounted
+  // instead of failing it, with the reason on record.
   std::optional<obs::perf::Session> perf_session;
-  if (want_hw) {
-    perf_session.emplace();
-    if (!perf_session->try_attach()) {
-      sink.degrade("perf:busy");
-      perf_session.reset();
-    } else if (!perf_session->available()) {
-      sink.degrade("perf:unavailable:" + perf_session->reason());
-      perf_session->detach();
-      perf_session.reset();
-    }
+  attach_or_degrade(perf_session, cfg.hw_counters || env_int("RLA_PERF", 0) != 0,
+                    "perf", sink);
+  if (perf_session && !perf_session->available()) {
+    sink.degrade("perf:unavailable:" + perf_session->reason());
+    perf_session->detach();
+    perf_session.reset();
   }
-
-  // Tracer / work-span measurement. One armed collector per process: a
-  // nested or concurrent traced gemm runs untraced with "trace:busy" on
-  // record rather than corrupting the outer trace. Live HW counting implies
-  // measurement: the counters ride on the same phase spans.
+  // Tracer / work-span measurement. Live HW counting and tree profiling
+  // imply measurement: the counters ride on the same spans.
   const std::string trace_path =
       cfg.trace_path.empty() ? env_string("RLA_TRACE") : cfg.trace_path;
   const bool want_tree = cfg.tree_profile || env_int("RLA_TREEPROF", 0) != 0;
   std::optional<obs::Collector> collector;
-  if (cfg.measure || !trace_path.empty() || perf_session || want_tree) {
-    collector.emplace();
-    if (!collector->try_attach()) {
-      sink.degrade("trace:busy");
-      collector.reset();
-    }
-  }
-
-  // Recursion-resolved profiling (obs/treeprof/). One armed session per
-  // process, like the other slots; a collision runs unprofiled. Armed after
-  // the perf session so frame transitions can read this call's counters.
+  attach_or_degrade(collector,
+                    cfg.measure || !trace_path.empty() || perf_session || want_tree,
+                    "trace", sink);
+  // Recursion-resolved profiling (obs/treeprof/), armed after the perf
+  // session so frame transitions can read this call's counters.
   std::optional<obs::treeprof::Session> tree_session;
-  if (want_tree) {
-    tree_session.emplace();
-    if (!tree_session->try_attach()) {
-      sink.degrade("treeprof:busy");
-      tree_session.reset();
-    }
-  }
-  // Root frame spanning every run_all below (degradation, FP and verify
-  // reruns included): sequential reruns extend the measured critical path.
+  attach_or_degrade(tree_session, want_tree, "treeprof", sink);
+  // Root frame spanning every run below (degradation, FP and verify reruns
+  // included): sequential reruns extend the measured critical path.
   std::optional<obs::ScopedRoot> obs_root;
   if (collector) obs_root.emplace("gemm");
 
-  // Scheduler counters are pool-lifetime; delta against entry so an
-  // external long-lived pool reports only this call's activity.
-  const std::uint64_t base_tasks = pool->tasks_executed();
-  const std::uint64_t base_steals = pool->steals();
-  const std::uint64_t base_failed = pool->failed_steals();
-  const std::uint64_t base_wakeups = pool->idle_wakeups();
-  const std::uint64_t base_inject = pool->injection_pops();
+  const GemmProfile::SchedStats sched_base = sched_since(*pool);
 
   std::optional<analysis::RaceDetector> detector;
   std::optional<analysis::ScopedDetection> detect_scope;
@@ -804,53 +803,24 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
       sink.degrade("verify:no-backup");
     }
   }
-  const auto restore_c = [&] {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      const double* src = c_backup.data() + static_cast<std::size_t>(j) * m;
-      double* dst = c + static_cast<std::size_t>(j) * ldc;
-      RLA_SHADOW_MOVE(dst, src, m);
-      std::copy(src, src + m, dst);
-    }
-  };
+  const bool can_restore = beta == 0.0 || have_backup;
 
-  const auto run_all = [&](const GemmConfig& run_cfg) {
-    if (run_cfg.layout == Curve::ColMajor) {
-      run_canonical_degrading(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg,
-                              *pool, sink);
-    } else {
-      run_or_split(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg, *pool, sink);
-    }
-  };
-
-  const auto finish = [&] {
-    if (profile != nullptr) {
-      profile->sched.workers = pool->thread_count();
-      profile->sched.tasks = pool->tasks_executed() - base_tasks;
-      profile->sched.steals = pool->steals() - base_steals;
-      profile->sched.failed_steals = pool->failed_steals() - base_failed;
-      profile->sched.idle_wakeups = pool->idle_wakeups() - base_wakeups;
-      profile->sched.injection_pops = pool->injection_pops() - base_inject;
-      profile->sched.deque_high_water = pool->deque_high_water();
-    }
+  // Disarm every instrument and fold its results into the profile and the
+  // trace's metrics; runs exactly once, on every exit. The order is the
+  // data dependency: treeprof folds before perf detaches, because frame
+  // flushes read perf's counters, and perf and the scheduler fold into the
+  // collector's registry before it freezes.
+  const auto teardown = [&] {
+    prof.sched = sched_since(*pool, sched_base);
     if (tree_session) {
-      // Disarm (quiescence barrier) and fold the per-thread tables before
-      // the perf session detaches — frame flushes read its counters — and
-      // before the collector freezes its metrics snapshot.
-      tree_session->detach();
+      tree_session->detach();  // quiescence barrier before the fold
       const std::vector<obs::treeprof::Node> tree_nodes = tree_session->fold();
-      if (profile != nullptr) {
-        profile->tree_measured = true;
-        profile->tree_profile.clear();
-        for (const auto& node : tree_nodes) {
-          GemmProfile::TreeNode tn;
-          tn.key = obs::treeprof::path_key(node.path);
-          tn.time_ns = node.stats.time_ns;
-          tn.flops = node.stats.flops;
-          tn.tasks = node.stats.tasks;
-          tn.hw_valid = node.stats.hw.mask != 0;
-          tn.hw = to_hw_counters(node.stats.hw);
-          profile->tree_profile.push_back(std::move(tn));
-        }
+      prof.tree_measured = true;
+      for (const auto& node : tree_nodes) {
+        prof.tree_profile.push_back({obs::treeprof::path_key(node.path),
+                                     node.stats.time_ns, node.stats.flops,
+                                     node.stats.tasks, node.stats.hw.mask != 0,
+                                     to_hw_counters(node.stats.hw)});
       }
       if (collector) {
         // Per-depth aggregates into the trace's rla_metrics block (the
@@ -880,8 +850,6 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
       tree_session.reset();
     }
     if (perf_session) {
-      // Freeze the counters before the collector snapshot so the aggregate
-      // and per-thread values land in the trace's rla_metrics block.
       const obs::perf::Sample hw_total = perf_session->read_total();
       const auto hw_threads = perf_session->per_thread();
       const auto hw_phases = perf_session->phase_totals();
@@ -903,19 +871,15 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
           }
         }
       }
-      if (profile != nullptr && hw_total.mask != 0) {
-        profile->hw_measured = true;
-        profile->hw_scale = hw_total.scale;
-        profile->hw_events.clear();
+      if (hw_total.mask != 0) {
+        prof.hw_measured = true;
+        prof.hw_scale = hw_total.scale;
         for (int i = 0; i < obs::perf::kEventCount; ++i) {
-          if (hw_total.has(i)) {
-            profile->hw_events.emplace_back(obs::perf::event_name(i));
-          }
+          if (hw_total.has(i)) prof.hw_events.emplace_back(obs::perf::event_name(i));
         }
-        profile->hw_total = to_hw_counters(hw_total);
-        profile->hw_phases.clear();
+        prof.hw_total = to_hw_counters(hw_total);
         for (const auto& [phase, sample] : hw_phases) {
-          profile->hw_phases.emplace_back(phase, to_hw_counters(sample));
+          prof.hw_phases.emplace_back(phase, to_hw_counters(sample));
         }
       }
       perf_session.reset();
@@ -937,16 +901,7 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
         reg.counter(prefix + "injection_pops").set(slots[i].injection_pops);
         reg.gauge(prefix + "deque_high_water").set(slots[i].deque_high_water);
       }
-      // Pool-wide aggregates so SLO consumers (service registry,
-      // trace_summary.py) need no per-slot reconstruction or
-      // sched_snapshot() call of their own.
-      reg.counter("sched.total.steals").set(pool->steals());
-      reg.counter("sched.total.failed_steals").set(pool->failed_steals());
-      reg.counter("sched.total.idle_wakeups").set(pool->idle_wakeups());
-      reg.counter("sched.total.injection_pops").set(pool->injection_pops());
-      reg.counter("sched.total.tasks").set(pool->tasks_executed());
-      reg.gauge("sched.total.deque_high_water").set(pool->deque_high_water());
-      reg.counter("sched.exceptions_swallowed").set(pool->exceptions_swallowed());
+      publish_sched_totals(*pool, reg);
       if (trace_id != 0) {
         // Keyed into the trace's rla_metrics block so a metrics series and
         // a Chrome trace join on the same request id.
@@ -954,38 +909,33 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
             .set(static_cast<std::int64_t>(trace_id));
       }
       collector->detach();
-      if (profile != nullptr) {
-        profile->measured = true;
-        profile->measured_work = static_cast<double>(collector->work_ns()) / 1e9;
-        profile->measured_span = static_cast<double>(collector->span_ns()) / 1e9;
-        profile->achieved_parallelism = collector->achieved_parallelism();
-        profile->parallel_slackness =
-            profile->achieved_parallelism /
-            static_cast<double>(std::max(1u, pool->thread_count()));
-        profile->tasks_traced = collector->tasks();
-        profile->trace_events_dropped = collector->events_dropped();
-        const obs::Histogram& hist = collector->task_durations();
-        int top = obs::Histogram::kBuckets;
-        while (top > 0 && hist.bucket(top - 1) == 0) --top;
-        profile->task_ns_hist.clear();
-        for (int i = 0; i < top; ++i) {
-          profile->task_ns_hist.push_back(hist.bucket(i));
-        }
-        try {
-          // Cross-check against the a-priori DAG model of the *configured*
-          // algorithm (degradations can make the executed DAG differ).
-          const WorkSpan model = analyze_gemm(m, n, k, cfg);
-          profile->model_work = model.work;
-          profile->model_span = model.span;
-          profile->model_parallelism = model.parallelism();
-        } catch (const std::exception&) {
-          // Shape requires splitting; the per-piece model does not compose
-          // into one number, so the model fields stay zero.
-        }
+      prof.measured = true;
+      prof.measured_work = static_cast<double>(collector->work_ns()) / 1e9;
+      prof.measured_span = static_cast<double>(collector->span_ns()) / 1e9;
+      prof.achieved_parallelism = collector->achieved_parallelism();
+      prof.parallel_slackness =
+          prof.achieved_parallelism /
+          static_cast<double>(std::max(1u, pool->thread_count()));
+      prof.tasks_traced = collector->tasks();
+      prof.trace_events_dropped = collector->events_dropped();
+      const obs::Histogram& hist = collector->task_durations();
+      int top = obs::Histogram::kBuckets;
+      while (top > 0 && hist.bucket(top - 1) == 0) --top;
+      for (int i = 0; i < top; ++i) prof.task_ns_hist.push_back(hist.bucket(i));
+      try {
+        // Cross-check against the a-priori DAG model of the *configured*
+        // algorithm (degradations can make the executed DAG differ).
+        const WorkSpan model = analyze_gemm(m, n, k, cfg);
+        prof.model_work = model.work;
+        prof.model_span = model.span;
+        prof.model_parallelism = model.parallelism();
+      } catch (const std::exception&) {
+        // Shape requires splitting; the per-piece model does not compose
+        // into one number, so the model fields stay zero.
       }
       if (!trace_path.empty()) {
         if (collector->write_chrome_trace_file(trace_path)) {
-          if (profile != nullptr) profile->trace_file = trace_path;
+          prof.trace_file = trace_path;
         } else {
           sink.degrade("trace:write-failed");
         }
@@ -993,77 +943,95 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
       collector.reset();
     }
     detect_scope.reset();  // detach before reading results
-    if (detector && profile != nullptr) {
-      profile->races = static_cast<int>(detector->race_count());
-      profile->race_certified = detector->certified();
-      profile->race_cells = detector->cells_tracked();
-      profile->race_reports.clear();
+    if (detector) {
+      prof.races = static_cast<int>(detector->race_count());
+      prof.race_certified = detector->certified();
+      prof.race_cells = detector->cells_tracked();
       for (const auto& r : detector->races()) {
-        profile->race_reports.push_back(r.to_string());
+        prof.race_reports.push_back(r.to_string());
       }
     }
     shadow_scope.reset();  // stop mirroring before measuring
-    if (shadow && profile != nullptr) {
-      profile->numerics_analyzed = numerics::instrumented();
+    if (shadow) {
+      prof.numerics_analyzed = numerics::instrumented();
       const numerics::ShadowStats st = shadow->measure(c, ldc, m, n);
-      profile->observed_abs_error = st.max_abs_error;
-      profile->observed_rel_error = st.max_rel_error;
-      profile->cancellations = shadow->cancellations();
-      profile->shadow_cells = shadow->cells_tracked();
-      profile->worst_cell_path = numerics::quadrant_path(
-          st.worst_i, st.worst_j, m, n, std::max(profile->depth, 0));
+      prof.observed_abs_error = st.max_abs_error;
+      prof.observed_rel_error = st.max_rel_error;
+      prof.cancellations = shadow->cancellations();
+      prof.shadow_cells = shadow->cells_tracked();
+      prof.worst_cell_path = numerics::quadrant_path(st.worst_i, st.worst_j, m, n,
+                                                     std::max(prof.depth, 0));
     }
     sink.flush_trail();
-    if (profile != nullptr) profile->total = total.seconds();
+    prof.total = total.seconds();
   };
 
-  try {
-    run_all(cfg);
-  } catch (const std::bad_alloc&) {
-    finish();
-    throw Error(ErrorKind::Allocation, "gemm",
-                "allocation failed even after exhausting the degradation ladder",
-                {m, n, k}, sink.trail);
-  } catch (...) {
-    // Task failures (including injected ones) propagate to the caller, but
-    // the trace of the dying run is exactly what a post-mortem needs: drain
-    // the collector and write the export before unwinding further.
-    finish();
-    throw;
-  }
+  // Tear down, then throw: the Error's trail then also holds what teardown
+  // appended (e.g. "trace:write-failed").
+  const auto fail = [&](ErrorKind kind, const char* what) {
+    teardown();
+    throw Error(kind, "gemm", what, {m, n, k}, sink.trail);
+  };
+
+  // Every run of the multiply. An allocation failure that outlived the
+  // degradation ladder becomes rla::Error{Allocation}; any other failure
+  // (task faults, injected ones included) propagates unchanged, but only
+  // after teardown: the dying run's trace is what a post-mortem needs.
+  const auto run = [&](const GemmConfig& run_cfg, const char* alloc_what) {
+    try {
+      if (run_cfg.layout == Curve::ColMajor) {
+        run_canonical_degrading(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg,
+                                *pool, sink);
+      } else {
+        run_or_split(m, n, k, alpha, oa, ob, beta, c, ldc, run_cfg, *pool, sink);
+      }
+    } catch (const std::bad_alloc&) {
+      fail(ErrorKind::Allocation, alloc_what);
+    } catch (...) {
+      teardown();
+      throw;
+    }
+  };
+
+  // The FP-hazard and Freivalds fallback: restore C and rerun with the
+  // classical algorithm. Returns false, having run nothing, when β ≠ 0 and
+  // C could not be backed up.
+  const auto rerun_standard = [&](const char* reason, const char* alloc_what) {
+    sink.degrade(reason);
+    if (!can_restore) return false;
+    if (have_backup) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        const double* src = c_backup.data() + static_cast<std::size_t>(j) * m;
+        double* dst = c + static_cast<std::size_t>(j) * ldc;
+        RLA_SHADOW_MOVE(dst, src, m);
+        std::copy(src, src + m, dst);
+      }
+    }
+    GemmConfig retry = cfg;
+    retry.algorithm = Algorithm::Standard;
+    run(retry, alloc_what);
+    return true;
+  };
+
+  run(cfg, "allocation failed even after exhausting the degradation ladder");
 
   if (cfg.fp_check) {
     // Sweep up anything raised outside an attributed phase (e.g. on the
     // canonical ladder's materialization of op/α copies).
     const unsigned tail = numerics::fp_drain();
     if (tail != 0) sink.note_fp("other", tail);
-    const unsigned hazards = sink.hazards();
-    if (profile != nullptr) profile->fp_hazards = hazards;
-    if (hazards != 0 && cfg.algorithm != Algorithm::Standard &&
-        (beta == 0.0 || have_backup)) {
+    prof.fp_hazards = sink.hazards();
+    if (prof.fp_hazards != 0 && fp_rerun_possible && can_restore) {
       // A fast-algorithm run raised INVALID/OVERFLOW/DIVBYZERO: rerun with
       // the classical algorithm, which cannot manufacture intermediate
       // overflows or Inf − Inf cancellations from finite inputs. (Without a
       // backup under β ≠ 0 the hazard stays on record but C is kept.)
-      sink.degrade("fp:hazard->standard");
-      if (have_backup) restore_c();
-      GemmConfig retry = cfg;
-      retry.algorithm = Algorithm::Standard;
-      try {
-        run_all(retry);
-      } catch (const std::bad_alloc&) {
-        finish();
-        throw Error(ErrorKind::Allocation, "gemm",
-                    "allocation failed during the FP-hazard rerun", {m, n, k},
-                    sink.trail);
-      } catch (...) {
-        finish();
-        throw;
-      }
-      if (profile != nullptr) profile->fp_degraded = true;
+      rerun_standard("fp:hazard->standard",
+                     "allocation failed during the FP-hazard rerun");
+      prof.fp_degraded = true;
       const unsigned rerun_mask = numerics::fp_drain();
       if (rerun_mask != 0) sink.note_fp("rerun", rerun_mask);
-      if (profile != nullptr) profile->fp_hazards = sink.hazards();
+      prof.fp_hazards = sink.hazards();
     }
     // Stop monitoring before the Freivalds probes: their residual
     // arithmetic is diagnostic, not product computation.
@@ -1072,57 +1040,32 @@ void gemm(std::uint32_t m, std::uint32_t n, std::uint32_t k, double alpha,
 
   if (checker) {
     const bool at = op_a == Op::Transpose, bt = op_b == Op::Transpose;
-    VerifyResult result = [&] {
+    const auto check = [&] {
       obs::PhaseScope phase("verify");
       return checker->check(k, alpha, a, lda, at, b, ldb, bt, c, ldc,
                             cfg.verify_tolerance);
-    }();
-    if (profile != nullptr) {
-      profile->verify_probes = result.probes;
-      profile->verify_max_residual = result.max_scaled_residual;
-    }
+    };
+    const VerifyResult result = check();
+    prof.verify_probes = result.probes;
+    prof.verify_max_residual = result.max_scaled_residual;
     if (!result.ok) {
-      if (profile != nullptr) profile->verify_failed = true;
-      sink.degrade("verify:failed->standard");
-      if (beta != 0.0 && !have_backup) {
-        finish();
-        throw Error(ErrorKind::VerificationFailed, "gemm",
-                    "verification failed and C could not be restored for a rerun",
-                    {m, n, k}, sink.trail);
+      prof.verify_failed = true;
+      if (!rerun_standard("verify:failed->standard",
+                          "allocation failed during the verification rerun")) {
+        fail(ErrorKind::VerificationFailed,
+             "verification failed and C could not be restored for a rerun");
       }
-      if (have_backup) restore_c();
-      GemmConfig retry = cfg;
-      retry.algorithm = Algorithm::Standard;
-      try {
-        run_all(retry);
-      } catch (const std::bad_alloc&) {
-        finish();
-        throw Error(ErrorKind::Allocation, "gemm",
-                    "allocation failed during the verification rerun", {m, n, k},
-                    sink.trail);
-      } catch (...) {
-        finish();
-        throw;
-      }
-      if (profile != nullptr) profile->verify_rerun = true;
-      VerifyResult recheck = [&] {
-        obs::PhaseScope phase("verify");
-        return checker->check(k, alpha, a, lda, at, b, ldb, bt, c, ldc,
-                              cfg.verify_tolerance);
-      }();
-      if (profile != nullptr) {
-        profile->verify_max_residual =
-            std::max(profile->verify_max_residual, recheck.max_scaled_residual);
-      }
+      prof.verify_rerun = true;
+      const VerifyResult recheck = check();
+      prof.verify_max_residual =
+          std::max(prof.verify_max_residual, recheck.max_scaled_residual);
       if (!recheck.ok) {
-        finish();
-        throw Error(ErrorKind::VerificationFailed, "gemm",
-                    "standard-algorithm rerun still fails verification",
-                    {m, n, k}, sink.trail);
+        fail(ErrorKind::VerificationFailed,
+             "standard-algorithm rerun still fails verification");
       }
     }
   }
-  finish();
+  teardown();
 }
 
 void multiply(Matrix& c, const Matrix& a, const Matrix& b, const GemmConfig& cfg,

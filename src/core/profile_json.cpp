@@ -1,10 +1,14 @@
 // GemmProfile <-> JSON (schema in DESIGN.md §10).
 //
-// to_json emits every field in a fixed order; from_json reads the same
-// layout back, so to_json(from_json(s)) == s for any s that to_json
-// produced. Unknown keys are ignored on input (forward compatibility),
-// missing keys leave the default value in place.
+// One field list per struct (`fields` below) drives both directions:
+// to_json emits the fields in list order, from_json reads the same keys
+// back, so to_json(from_json(s)) == s for any s that to_json produced.
+// Unknown keys are ignored on input (forward compatibility), missing or
+// wrongly typed keys leave the default value in place, and array items of
+// the wrong type are dropped.
 
+#include <concepts>
+#include <type_traits>
 #include <utility>
 
 #include "core/gemm.hpp"
@@ -15,287 +19,176 @@ namespace rla {
 namespace {
 
 using obs::json::Value;
+using HwPhase = std::pair<std::string, GemmProfile::HwCounters>;
 
-Value string_array(const std::vector<std::string>& items) {
-  Value out = Value::array();
-  for (const auto& s : items) out.push_back(Value::string(s));
-  return out;
+/// S is T or const T: each list serves the writer and the reader alike.
+template <class S, class T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+template <Is<GemmProfile::HwCounters> S, class F>
+void fields(S& hw, F&& f) {
+  f("cycles", hw.cycles);
+  f("instructions", hw.instructions);
+  f("l1d_read_misses", hw.l1d_read_misses);
+  f("llc_misses", hw.llc_misses);
+  f("dtlb_misses", hw.dtlb_misses);
+  f("task_clock_ns", hw.task_clock_ns);
 }
 
-Value uint_array(const std::vector<std::uint64_t>& items) {
-  Value out = Value::array();
-  for (std::uint64_t v : items) out.push_back(Value::number(v));
-  return out;
+template <Is<HwPhase> S, class F>
+void fields(S& phase, F&& f) {
+  f("phase", phase.first);
+  fields(phase.second, f);  // counters inline, beside the phase name
 }
 
-void read_double(const Value& obj, const char* key, double& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_number()) {
-    out = v->as_double();
+template <Is<GemmProfile::TreeNode> S, class F>
+void fields(S& node, F&& f) {
+  f("key", node.key);
+  f("time_ns", node.time_ns);
+  f("flops", node.flops);
+  f("tasks", node.tasks);
+  f("hw_valid", node.hw_valid);
+  fields(node.hw, f);
+}
+
+template <Is<GemmProfile::SchedStats> S, class F>
+void fields(S& s, F&& f) {
+  f("workers", s.workers);
+  f("tasks", s.tasks);
+  f("steals", s.steals);
+  f("failed_steals", s.failed_steals);
+  f("idle_wakeups", s.idle_wakeups);
+  f("injection_pops", s.injection_pops);
+  f("deque_high_water", s.deque_high_water);
+}
+
+template <Is<GemmProfile> S, class F>
+void fields(S& p, F&& f) {
+  f("trace_id", p.trace_id);
+  f("convert_in", p.convert_in);
+  f("compute", p.compute);
+  f("convert_out", p.convert_out);
+  f("total", p.total);
+  f("depth", p.depth);
+  f("tile_m", p.tile_m);
+  f("tile_k", p.tile_k);
+  f("tile_n", p.tile_n);
+  f("splits", p.splits);
+  f("degradation_trail", p.degradation_trail);
+  f("degradations", p.degradations);
+  f("verify_probes", p.verify_probes);
+  f("verify_max_residual", p.verify_max_residual);
+  f("verify_failed", p.verify_failed);
+  f("verify_rerun", p.verify_rerun);
+  f("races", p.races);
+  f("race_certified", p.race_certified);
+  f("race_cells", p.race_cells);
+  f("race_reports", p.race_reports);
+  f("bound_constant", p.bound_constant);
+  f("error_bound", p.error_bound);
+  f("bound_fast_levels", p.bound_fast_levels);
+  f("numerics_analyzed", p.numerics_analyzed);
+  f("observed_abs_error", p.observed_abs_error);
+  f("observed_rel_error", p.observed_rel_error);
+  f("cancellations", p.cancellations);
+  f("shadow_cells", p.shadow_cells);
+  f("worst_cell_path", p.worst_cell_path);
+  f("fp_hazards", p.fp_hazards);
+  f("fp_degraded", p.fp_degraded);
+  f("sched", p.sched);
+  f("measured", p.measured);
+  f("measured_work", p.measured_work);
+  f("measured_span", p.measured_span);
+  f("achieved_parallelism", p.achieved_parallelism);
+  f("parallel_slackness", p.parallel_slackness);
+  f("tasks_traced", p.tasks_traced);
+  f("trace_events_dropped", p.trace_events_dropped);
+  f("trace_file", p.trace_file);
+  f("task_ns_hist", p.task_ns_hist);
+  f("model_work", p.model_work);
+  f("model_span", p.model_span);
+  f("model_parallelism", p.model_parallelism);
+  f("hw_measured", p.hw_measured);
+  f("hw_scale", p.hw_scale);
+  f("hw_events", p.hw_events);
+  f("hw_total", p.hw_total);
+  f("hw_phases", p.hw_phases);
+  f("tree_measured", p.tree_measured);
+  f("tree_profile", p.tree_profile);
+}
+
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Booleans, numbers, strings, arrays of those or of structs, and structs
+/// (as objects, through their field list).
+template <class T>
+Value to_value(const T& x) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Value::boolean(x);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return Value::number(x);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Value::string(x);
+  } else if constexpr (kIsVector<T>) {
+    Value out = Value::array();
+    for (const auto& item : x) out.push_back(to_value(item));
+    return out;
+  } else {
+    Value out = Value::object();
+    fields(x, [&out](const char* key, const auto& field) {
+      out.set(key, to_value(field));
+    });
+    return out;
   }
 }
 
-void read_int(const Value& obj, const char* key, int& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_number()) {
-    out = static_cast<int>(v->as_int());
-  }
-}
-
-void read_u32(const Value& obj, const char* key, std::uint32_t& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_number()) {
-    out = static_cast<std::uint32_t>(v->as_uint());
-  }
-}
-
-void read_u64(const Value& obj, const char* key, std::uint64_t& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_number()) {
-    out = v->as_uint();
-  }
-}
-
-void read_i64(const Value& obj, const char* key, std::int64_t& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_number()) {
-    out = v->as_int();
-  }
-}
-
-void read_unsigned(const Value& obj, const char* key, unsigned& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_number()) {
-    out = static_cast<unsigned>(v->as_uint());
-  }
-}
-
-void read_bool(const Value& obj, const char* key, bool& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_bool()) {
-    out = v->as_bool();
-  }
-}
-
-void read_string(const Value& obj, const char* key, std::string& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_string()) {
-    out = v->as_string();
-  }
-}
-
-void read_strings(const Value& obj, const char* key,
-                  std::vector<std::string>& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_array()) {
-    out.clear();
-    for (const Value& item : v->items()) {
-      if (item.is_string()) out.push_back(item.as_string());
+/// Inverse of to_value: false, leaving `x` alone, when `v` has the wrong
+/// kind. Struct fields absent from `v` keep their values.
+template <class T>
+bool from_value(const Value& v, T& x) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return false;
+    x = v.as_bool();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!v.is_number()) return false;
+    x = v.as_double();
+  } else if constexpr (std::is_signed_v<T>) {
+    if (!v.is_number()) return false;
+    x = static_cast<T>(v.as_int());
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (!v.is_number()) return false;
+    x = static_cast<T>(v.as_uint());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.is_string()) return false;
+    x = v.as_string();
+  } else if constexpr (kIsVector<T>) {
+    if (!v.is_array()) return false;
+    x.clear();
+    for (const Value& item : v.items()) {
+      typename T::value_type parsed{};
+      if (from_value(item, parsed)) x.push_back(std::move(parsed));
     }
+  } else {
+    if (!v.is_object()) return false;
+    fields(x, [&v](const char* key, auto& field) {
+      if (const Value* member = v.find(key)) from_value(*member, field);
+    });
   }
-}
-
-void read_uints(const Value& obj, const char* key,
-                std::vector<std::uint64_t>& out) {
-  if (const Value* v = obj.find(key); v != nullptr && v->is_array()) {
-    out.clear();
-    for (const Value& item : v->items()) {
-      if (item.is_number()) out.push_back(item.as_uint());
-    }
-  }
-}
-
-void hw_fill(Value& obj, const GemmProfile::HwCounters& hw) {
-  obj.set("cycles", Value::number(hw.cycles));
-  obj.set("instructions", Value::number(hw.instructions));
-  obj.set("l1d_read_misses", Value::number(hw.l1d_read_misses));
-  obj.set("llc_misses", Value::number(hw.llc_misses));
-  obj.set("dtlb_misses", Value::number(hw.dtlb_misses));
-  obj.set("task_clock_ns", Value::number(hw.task_clock_ns));
-}
-
-Value hw_object(const GemmProfile::HwCounters& hw) {
-  Value obj = Value::object();
-  hw_fill(obj, hw);
-  return obj;
-}
-
-void read_hw(const Value& obj, GemmProfile::HwCounters& out) {
-  read_u64(obj, "cycles", out.cycles);
-  read_u64(obj, "instructions", out.instructions);
-  read_u64(obj, "l1d_read_misses", out.l1d_read_misses);
-  read_u64(obj, "llc_misses", out.llc_misses);
-  read_u64(obj, "dtlb_misses", out.dtlb_misses);
-  read_u64(obj, "task_clock_ns", out.task_clock_ns);
+  return true;
 }
 
 }  // namespace
 
-std::string GemmProfile::to_json() const {
-  Value o = Value::object();
-  o.set("trace_id", Value::number(trace_id));
-  o.set("convert_in", Value::number(convert_in));
-  o.set("compute", Value::number(compute));
-  o.set("convert_out", Value::number(convert_out));
-  o.set("total", Value::number(total));
-  o.set("depth", Value::number(depth));
-  o.set("tile_m", Value::number(tile_m));
-  o.set("tile_k", Value::number(tile_k));
-  o.set("tile_n", Value::number(tile_n));
-  o.set("splits", Value::number(splits));
-  o.set("degradation_trail", string_array(degradation_trail));
-  o.set("degradations", Value::number(degradations));
-  o.set("verify_probes", Value::number(verify_probes));
-  o.set("verify_max_residual", Value::number(verify_max_residual));
-  o.set("verify_failed", Value::boolean(verify_failed));
-  o.set("verify_rerun", Value::boolean(verify_rerun));
-  o.set("races", Value::number(races));
-  o.set("race_certified", Value::boolean(race_certified));
-  o.set("race_cells", Value::number(race_cells));
-  o.set("race_reports", string_array(race_reports));
-  o.set("bound_constant", Value::number(bound_constant));
-  o.set("error_bound", Value::number(error_bound));
-  o.set("bound_fast_levels", Value::number(bound_fast_levels));
-  o.set("numerics_analyzed", Value::boolean(numerics_analyzed));
-  o.set("observed_abs_error", Value::number(observed_abs_error));
-  o.set("observed_rel_error", Value::number(observed_rel_error));
-  o.set("cancellations", Value::number(cancellations));
-  o.set("shadow_cells", Value::number(shadow_cells));
-  o.set("worst_cell_path", Value::string(worst_cell_path));
-  o.set("fp_hazards", Value::number(fp_hazards));
-  o.set("fp_degraded", Value::boolean(fp_degraded));
-
-  Value s = Value::object();
-  s.set("workers", Value::number(sched.workers));
-  s.set("tasks", Value::number(sched.tasks));
-  s.set("steals", Value::number(sched.steals));
-  s.set("failed_steals", Value::number(sched.failed_steals));
-  s.set("idle_wakeups", Value::number(sched.idle_wakeups));
-  s.set("injection_pops", Value::number(sched.injection_pops));
-  s.set("deque_high_water", Value::number(sched.deque_high_water));
-  o.set("sched", std::move(s));
-
-  o.set("measured", Value::boolean(measured));
-  o.set("measured_work", Value::number(measured_work));
-  o.set("measured_span", Value::number(measured_span));
-  o.set("achieved_parallelism", Value::number(achieved_parallelism));
-  o.set("parallel_slackness", Value::number(parallel_slackness));
-  o.set("tasks_traced", Value::number(tasks_traced));
-  o.set("trace_events_dropped", Value::number(trace_events_dropped));
-  o.set("trace_file", Value::string(trace_file));
-  o.set("task_ns_hist", uint_array(task_ns_hist));
-  o.set("model_work", Value::number(model_work));
-  o.set("model_span", Value::number(model_span));
-  o.set("model_parallelism", Value::number(model_parallelism));
-
-  o.set("hw_measured", Value::boolean(hw_measured));
-  o.set("hw_scale", Value::number(hw_scale));
-  o.set("hw_events", string_array(hw_events));
-  o.set("hw_total", hw_object(hw_total));
-  Value phases = Value::array();
-  for (const auto& [name, hw] : hw_phases) {
-    Value entry = Value::object();
-    entry.set("phase", Value::string(name));
-    hw_fill(entry, hw);
-    phases.push_back(std::move(entry));
-  }
-  o.set("hw_phases", std::move(phases));
-
-  o.set("tree_measured", Value::boolean(tree_measured));
-  Value tree = Value::array();
-  for (const auto& node : tree_profile) {
-    Value entry = Value::object();
-    entry.set("key", Value::string(node.key));
-    entry.set("time_ns", Value::number(node.time_ns));
-    entry.set("flops", Value::number(node.flops));
-    entry.set("tasks", Value::number(node.tasks));
-    entry.set("hw_valid", Value::boolean(node.hw_valid));
-    hw_fill(entry, node.hw);
-    tree.push_back(std::move(entry));
-  }
-  o.set("tree_profile", std::move(tree));
-  return o.dump();
-}
+std::string GemmProfile::to_json() const { return to_value(*this).dump(); }
 
 bool GemmProfile::from_json(const std::string& text, GemmProfile& out) {
   const std::optional<Value> parsed = Value::parse(text);
   if (!parsed || !parsed->is_object()) return false;
-  const Value& o = *parsed;
   GemmProfile p;
-  read_u64(o, "trace_id", p.trace_id);
-  read_double(o, "convert_in", p.convert_in);
-  read_double(o, "compute", p.compute);
-  read_double(o, "convert_out", p.convert_out);
-  read_double(o, "total", p.total);
-  read_int(o, "depth", p.depth);
-  read_u32(o, "tile_m", p.tile_m);
-  read_u32(o, "tile_k", p.tile_k);
-  read_u32(o, "tile_n", p.tile_n);
-  read_int(o, "splits", p.splits);
-  read_strings(o, "degradation_trail", p.degradation_trail);
-  read_int(o, "degradations", p.degradations);
-  read_int(o, "verify_probes", p.verify_probes);
-  read_double(o, "verify_max_residual", p.verify_max_residual);
-  read_bool(o, "verify_failed", p.verify_failed);
-  read_bool(o, "verify_rerun", p.verify_rerun);
-  read_int(o, "races", p.races);
-  read_bool(o, "race_certified", p.race_certified);
-  read_u64(o, "race_cells", p.race_cells);
-  read_strings(o, "race_reports", p.race_reports);
-  read_double(o, "bound_constant", p.bound_constant);
-  read_double(o, "error_bound", p.error_bound);
-  read_int(o, "bound_fast_levels", p.bound_fast_levels);
-  read_bool(o, "numerics_analyzed", p.numerics_analyzed);
-  read_double(o, "observed_abs_error", p.observed_abs_error);
-  read_double(o, "observed_rel_error", p.observed_rel_error);
-  read_u64(o, "cancellations", p.cancellations);
-  read_u64(o, "shadow_cells", p.shadow_cells);
-  read_string(o, "worst_cell_path", p.worst_cell_path);
-  read_unsigned(o, "fp_hazards", p.fp_hazards);
-  read_bool(o, "fp_degraded", p.fp_degraded);
-  if (const Value* s = o.find("sched"); s != nullptr && s->is_object()) {
-    read_unsigned(*s, "workers", p.sched.workers);
-    read_u64(*s, "tasks", p.sched.tasks);
-    read_u64(*s, "steals", p.sched.steals);
-    read_u64(*s, "failed_steals", p.sched.failed_steals);
-    read_u64(*s, "idle_wakeups", p.sched.idle_wakeups);
-    read_u64(*s, "injection_pops", p.sched.injection_pops);
-    read_i64(*s, "deque_high_water", p.sched.deque_high_water);
-  }
-  read_bool(o, "measured", p.measured);
-  read_double(o, "measured_work", p.measured_work);
-  read_double(o, "measured_span", p.measured_span);
-  read_double(o, "achieved_parallelism", p.achieved_parallelism);
-  read_double(o, "parallel_slackness", p.parallel_slackness);
-  read_u64(o, "tasks_traced", p.tasks_traced);
-  read_u64(o, "trace_events_dropped", p.trace_events_dropped);
-  read_string(o, "trace_file", p.trace_file);
-  read_uints(o, "task_ns_hist", p.task_ns_hist);
-  read_double(o, "model_work", p.model_work);
-  read_double(o, "model_span", p.model_span);
-  read_double(o, "model_parallelism", p.model_parallelism);
-  read_bool(o, "hw_measured", p.hw_measured);
-  read_double(o, "hw_scale", p.hw_scale);
-  read_strings(o, "hw_events", p.hw_events);
-  if (const Value* v = o.find("hw_total"); v != nullptr && v->is_object()) {
-    read_hw(*v, p.hw_total);
-  }
-  if (const Value* v = o.find("hw_phases"); v != nullptr && v->is_array()) {
-    p.hw_phases.clear();
-    for (const Value& entry : v->items()) {
-      if (!entry.is_object()) continue;
-      std::pair<std::string, HwCounters> ph;
-      read_string(entry, "phase", ph.first);
-      read_hw(entry, ph.second);
-      p.hw_phases.push_back(std::move(ph));
-    }
-  }
-  read_bool(o, "tree_measured", p.tree_measured);
-  if (const Value* v = o.find("tree_profile"); v != nullptr && v->is_array()) {
-    p.tree_profile.clear();
-    for (const Value& entry : v->items()) {
-      if (!entry.is_object()) continue;
-      TreeNode node;
-      read_string(entry, "key", node.key);
-      read_u64(entry, "time_ns", node.time_ns);
-      read_u64(entry, "flops", node.flops);
-      read_u64(entry, "tasks", node.tasks);
-      read_bool(entry, "hw_valid", node.hw_valid);
-      read_hw(entry, node.hw);
-      p.tree_profile.push_back(std::move(node));
-    }
-  }
+  from_value(*parsed, p);
   out = std::move(p);
   return true;
 }

@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "analysis/numerics/fptrap.hpp"
+#include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "robust/fault.hpp"
 
@@ -214,37 +215,30 @@ std::vector<WorkerPool::SchedStats> WorkerPool::sched_snapshot() const {
   return out;
 }
 
-std::uint64_t WorkerPool::failed_steals() const noexcept {
-  std::uint64_t total = external_.failed_steals.load(std::memory_order_relaxed);
+WorkerPool::SchedStats WorkerPool::sched_totals() const noexcept {
+  // The external slot has no worker loop and no deque of its own: it adds
+  // failed steals and injection pops only.
+  const SchedStats ext = external_.snapshot();
+  SchedStats total{steals(), ext.failed_steals, 0, ext.injection_pops, 0};
   for (const auto& worker : workers_) {
-    total += worker->sched.failed_steals.load(std::memory_order_relaxed);
+    const SchedStats w = worker->sched.snapshot();
+    total.failed_steals += w.failed_steals;
+    total.idle_wakeups += w.idle_wakeups;
+    total.injection_pops += w.injection_pops;
+    total.deque_high_water = std::max(total.deque_high_water, w.deque_high_water);
   }
   return total;
 }
 
-std::uint64_t WorkerPool::idle_wakeups() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& worker : workers_) {
-    total += worker->sched.idle_wakeups.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t WorkerPool::injection_pops() const noexcept {
-  std::uint64_t total = external_.injection_pops.load(std::memory_order_relaxed);
-  for (const auto& worker : workers_) {
-    total += worker->sched.injection_pops.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::int64_t WorkerPool::deque_high_water() const noexcept {
-  std::int64_t deepest = 0;
-  for (const auto& worker : workers_) {
-    deepest = std::max(
-        deepest, worker->sched.deque_high_water.load(std::memory_order_relaxed));
-  }
-  return deepest;
+void publish_sched_totals(const WorkerPool& pool, obs::Registry& reg) {
+  const WorkerPool::SchedStats t = pool.sched_totals();
+  reg.counter("sched.total.steals").set(t.steals);
+  reg.counter("sched.total.failed_steals").set(t.failed_steals);
+  reg.counter("sched.total.idle_wakeups").set(t.idle_wakeups);
+  reg.counter("sched.total.injection_pops").set(t.injection_pops);
+  reg.counter("sched.total.tasks").set(pool.tasks_executed());
+  reg.gauge("sched.total.deque_high_water").set(t.deque_high_water);
+  reg.counter("sched.exceptions_swallowed").set(pool.exceptions_swallowed());
 }
 
 void WorkerPool::parallel_for(

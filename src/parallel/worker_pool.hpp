@@ -42,6 +42,10 @@
 
 namespace rla {
 
+namespace obs {
+class Registry;
+}
+
 class TaskGroup;
 
 /// Fork-join work-stealing pool.
@@ -100,18 +104,11 @@ class WorkerPool {
   /// entry, which stays all-zero since serial spawns run inline).
   std::vector<SchedStats> sched_snapshot() const;
 
-  /// Failed steal sweeps summed over all slots (0 on a serial pool).
-  std::uint64_t failed_steals() const noexcept;
-
-  /// Idle sleeps that timed out without work, summed over workers (0 on a
-  /// serial pool — it has no worker loop).
-  std::uint64_t idle_wakeups() const noexcept;
-
-  /// Injection-queue hits summed over all slots.
-  std::uint64_t injection_pops() const noexcept;
-
-  /// Deepest work deque observed across workers.
-  std::int64_t deque_high_water() const noexcept;
+  /// Pool-wide totals in one read: steals (== steals()), failed steals and
+  /// injection pops summed over every slot, idle wake-ups summed over the
+  /// workers only (a serial pool has no worker loop), and the deepest worker
+  /// deque observed.
+  SchedStats sched_totals() const noexcept;
 
   /// Worker threads the constructor failed to create (0 = full strength).
   unsigned thread_create_failures() const noexcept {
@@ -198,6 +195,11 @@ class WorkerPool {
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> exceptions_swallowed_{0};
 };
+
+/// Publish `pool`'s pool-wide totals (sched.total.*, and
+/// sched.exceptions_swallowed) into `reg`: the per-call collector's registry
+/// in gemm(), the service registry in GemmService.
+void publish_sched_totals(const WorkerPool& pool, obs::Registry& reg);
 
 /// One fork-join scope: spawn children, then wait for all of them.
 /// wait() runs other ready tasks while waiting, so nested groups (the

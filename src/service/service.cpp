@@ -652,13 +652,7 @@ void GemmService::fold_runtime_metrics() const {
   reg.counter("arena.recycled").set(arena_.recycled());
   reg.counter("arena.allocations").set(arena_.allocations());
   reg.counter("arena.rejections").set(arena_.rejections());
-  reg.counter("sched.total.steals").set(pool_->steals());
-  reg.counter("sched.total.failed_steals").set(pool_->failed_steals());
-  reg.counter("sched.total.idle_wakeups").set(pool_->idle_wakeups());
-  reg.counter("sched.total.injection_pops").set(pool_->injection_pops());
-  reg.counter("sched.total.tasks").set(pool_->tasks_executed());
-  reg.gauge("sched.total.deque_high_water").set(pool_->deque_high_water());
-  reg.counter("sched.exceptions_swallowed").set(pool_->exceptions_swallowed());
+  publish_sched_totals(*pool_, reg);
   // SLO surface: per-priority-class end-to-end latency quantiles (from the
   // log2 histograms finalize() feeds, interpolated inside the bucket) and
   // the deadline-miss rate in parts per million of accepted requests.

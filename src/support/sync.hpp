@@ -11,7 +11,7 @@
 // right capability. GCC (the other supported compiler) sees ordinary
 // std::mutex behaviour with zero overhead — the attributes vanish.
 //
-// Discipline (enforced by tools/check_locks.py on top of the compiler):
+// Discipline (enforced by rla_lint C5 on top of the compiler):
 //  * No raw std::mutex / std::condition_variable outside this header.
 //  * Every rla::Mutex declaration carries a `// lock-level:` comment naming
 //    its rank in the acquisition hierarchy
@@ -69,7 +69,7 @@
 /// Function returns a reference to the given capability.
 #define RLA_RETURN_CAPABILITY(x) RLA_TSA(lock_returned(x))
 /// Escape hatch: the function body is not analysed. Every use MUST carry an
-/// adjacent `// justification:` comment (tools/check_locks.py enforces it).
+/// adjacent `// justification:` comment (rla_lint C5 enforces it).
 #if defined(__clang__)
 #define RLA_NO_THREAD_SAFETY_ANALYSIS __attribute__((no_thread_safety_analysis))
 #else

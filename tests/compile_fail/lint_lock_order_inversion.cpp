@@ -1,8 +1,8 @@
 // Lint-negative case (not compiled): acquiring a higher-ranked lock while
 // holding a lower-ranked one inverts the declared hierarchy
 // lifecycle -> service -> pool -> arena -> registry.
-// tools/check_locks.py must flag this file (rule R3); ctest runs it as a
-// WILL_FAIL test.
+// rla_lint's locks checker must flag this file (rule R3); ctest matches the
+// diagnostic (rla_lint_lint_lock_order_inversion).
 #include "support/sync.hpp"
 
 namespace bad {

@@ -1,7 +1,7 @@
 // Lint-negative case (not compiled): a notify site without a
 // `// publishes:` comment naming the guarded state it makes visible.
-// tools/check_locks.py must flag this file (rule R5); ctest runs it as a
-// WILL_FAIL test.
+// rla_lint's locks checker must flag this file (rule R5); ctest matches the
+// diagnostic (rla_lint_lint_missing_publishes).
 #include "support/sync.hpp"
 
 namespace bad {

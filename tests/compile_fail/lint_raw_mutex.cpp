@@ -1,6 +1,6 @@
 // Lint-negative case (not compiled): raw std primitives outside
-// src/support/sync.hpp. tools/check_locks.py must flag this file (rule R1);
-// ctest runs it as a WILL_FAIL test.
+// src/support/sync.hpp. rla_lint's locks checker must flag this file (rule
+// R1); ctest matches the diagnostics (rla_lint_lint_raw_mutex).
 #include <mutex>
 
 namespace bad {

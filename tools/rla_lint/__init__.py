@@ -7,9 +7,8 @@ A shared driver (compile-commands ingestion, per-checker fixtures,
   C2  fault-site registry    (checkers/fault_sites.py)
   C3  metric/span schema     (checkers/metrics_schema.py)
   C4  env-var contract       (checkers/env_contract.py)
-  C5  lock discipline        (checkers/locks.py, folds tools/check_locks.py)
-  C6  race annotations       (checkers/race_annotations.py,
-                              folds tools/check_annotations.py)
+  C5  lock discipline        (checkers/locks.py)
+  C6  race annotations       (checkers/race_annotations.py)
 
 Two frontends produce the source model the checkers consume: a pure-Python
 lexical frontend (always available, deterministic) and a libclang

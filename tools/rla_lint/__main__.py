@@ -3,8 +3,7 @@
 import os
 import sys
 
-# Make both `rla_lint.*` and the sibling standalone tools (check_locks,
-# check_annotations) importable no matter how we were invoked.
+# Make `rla_lint.*` importable no matter how we were invoked.
 _TOOLS_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _TOOLS_DIR not in sys.path:
     sys.path.insert(0, _TOOLS_DIR)

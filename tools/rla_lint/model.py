@@ -110,6 +110,39 @@ def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
     return "".join(out)
 
 
+def blank_comments_and_strings(text: str) -> str:
+    """Blank out comments and the contents of string and char literals
+    (the quotes stay), preserving line structure.  The C5 and C6 rules
+    were calibrated against exactly this blanking."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if ch == "/" and nxt == "/":
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            out.append(" " * (j - i))
+            i = j
+        elif ch == "/" and nxt == "*":
+            j = text.find("*/", i + 2)
+            j = n - 2 if j < 0 else j
+            seg = text[i : j + 2]
+            out.append("".join(c if c == "\n" else " " for c in seg))
+            i = j + 2
+        elif ch in "\"'":
+            quote = ch
+            j = i + 1
+            while j < n and text[j] != quote:
+                j += 2 if text[j] == "\\" else 1
+            out.append(quote + " " * (j - i - 1) + quote)
+            i = j + 1
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Function extraction
 
