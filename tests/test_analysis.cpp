@@ -450,18 +450,25 @@ TEST(RaceCertify, AllAlgorithmsAndLayoutsAreDeterminate) {
        {Algorithm::Standard, Algorithm::Strassen, Algorithm::Winograd}) {
     for (const Curve curve : kAllCurves) {
       if (curve == Curve::RowMajor) continue;  // not a gemm layout
-      SCOPED_TRACE(std::string(algorithm_name(alg)) + " / curve " +
-                   std::to_string(static_cast<int>(curve)));
-      GemmConfig cfg;
-      cfg.algorithm = alg;
-      cfg.layout = curve;
-      const GemmProfile profile = detect_profile(cfg, 96, 96, 96);
-      for (const std::string& report : profile.race_reports) {
-        ADD_FAILURE() << report;
+      for (const StandardVariant variant :
+           {StandardVariant::Temporaries, StandardVariant::InPlace}) {
+        // The standard variant only shapes the Standard DAG.
+        if (alg != Algorithm::Standard && variant == StandardVariant::InPlace) continue;
+        SCOPED_TRACE(std::string(algorithm_name(alg)) + " / curve " +
+                     std::to_string(static_cast<int>(curve)) + " / standard " +
+                     std::to_string(static_cast<int>(variant)));
+        GemmConfig cfg;
+        cfg.algorithm = alg;
+        cfg.layout = curve;
+        cfg.standard_variant = variant;
+        const GemmProfile profile = detect_profile(cfg, 96, 96, 96);
+        for (const std::string& report : profile.race_reports) {
+          ADD_FAILURE() << report;
+        }
+        EXPECT_EQ(profile.races, 0);
+        EXPECT_TRUE(profile.race_certified);
+        EXPECT_GT(profile.race_cells, 0u);
       }
-      EXPECT_EQ(profile.races, 0);
-      EXPECT_TRUE(profile.race_certified);
-      EXPECT_GT(profile.race_cells, 0u);
     }
   }
 }

@@ -276,9 +276,10 @@ std::uint64_t analytic_flops(std::uint64_t fanout, std::uint64_t passes, int dep
 TEST(TreeprofGemm, FlopsConserveExactlyAtEveryThreadCount) {
   // 256 over 8-element tiles is five levels, two below the default frame
   // cap of 3, so capped nodes run as stolen tasks at 2 and 4 threads.
-  // Add passes per inner node: standard temporaries 4 (the post-adds),
-  // Strassen 10 pre + 12 post under either schedule, Winograd 8 + 11 in
-  // parallel and 14 + 14 with its U-chains expanded.
+  // Add passes per inner node: standard temporaries 4 (the post-adds, on
+  // every node whether or not it forks), standard in place 0, Strassen
+  // 10 pre + 12 post under either schedule, Winograd 8 + 11 in parallel and
+  // 14 + 14 with its U-chains expanded.
   constexpr std::uint32_t kN = 256, kTile = 8;
   constexpr int kDepth = 5;
   struct Case {
@@ -286,10 +287,16 @@ TEST(TreeprofGemm, FlopsConserveExactlyAtEveryThreadCount) {
     Algorithm alg;
     FastVariant variant;
     std::uint64_t fanout, passes;
+    StandardVariant standard = StandardVariant::Temporaries;
   };
   const Case cases[] = {
       {Curve::ZMorton, Algorithm::Standard, FastVariant::Parallel, 8, 4},
       {Curve::ZMorton, Algorithm::Standard, FastVariant::SerialLowMem, 8, 4},
+      {Curve::ZMorton, Algorithm::Standard, FastVariant::Parallel, 8, 0,
+       StandardVariant::InPlace},
+      {Curve::ColMajor, Algorithm::Standard, FastVariant::Parallel, 8, 4},
+      {Curve::ColMajor, Algorithm::Standard, FastVariant::Parallel, 8, 0,
+       StandardVariant::InPlace},
       {Curve::ZMorton, Algorithm::Strassen, FastVariant::Parallel, 7, 22},
       {Curve::ZMorton, Algorithm::Strassen, FastVariant::SerialLowMem, 7, 22},
       {Curve::ZMorton, Algorithm::Winograd, FastVariant::Parallel, 7, 19},
@@ -306,6 +313,7 @@ TEST(TreeprofGemm, FlopsConserveExactlyAtEveryThreadCount) {
       cfg.layout = c.layout;
       cfg.algorithm = c.alg;
       cfg.fast_variant = c.variant;
+      cfg.standard_variant = c.standard;
       cfg.tiles = {kTile, kTile, kTile};
       cfg.threads = threads;
       cfg.tree_profile = true;
@@ -315,7 +323,7 @@ TEST(TreeprofGemm, FlopsConserveExactlyAtEveryThreadCount) {
       EXPECT_EQ(tree_flops(profile), expected)
           << "layout " << static_cast<int>(c.layout) << " alg "
           << static_cast<int>(c.alg) << " variant " << static_cast<int>(c.variant)
-          << " threads " << threads;
+          << " standard " << static_cast<int>(c.standard) << " threads " << threads;
     }
   }
 }
