@@ -1,10 +1,11 @@
 #pragma once
 
-// Fast ⟨2,2,2⟩ algorithms written once, as data, and the one recursion engine
-// that runs them over any storage (paper §2, Fig. 1(b)/(c), §5.1; the
-// coefficient-table view of Benson & Ballard's fast-matmul framework).
+// The quadrant recursions of paper §2 / Fig. 1, written once over any
+// storage: the standard algorithm (Fig. 1(a)) and the fast ⟨2,2,2⟩
+// algorithms (Fig. 1(b)/(c), §5.1), the latter as data — the
+// coefficient-table view of Benson & Ballard's fast-matmul framework.
 //
-// A Row is one algorithm:
+// A Row is one fast algorithm:
 //
 //   * a[i], b[i] — the A- and B-operand of product P(i+1) as ordered signed
 //     sums of quadrants (A11 + A22, B12 - B22, a bare A11, ...);
@@ -20,7 +21,7 @@
 // The k-th product whose A-operand has more than one term reads S(k), and
 // likewise T(k) on the B side; single-term operands are read in place.
 //
-// The engine runs a Row in either FastVariant:
+// run() runs a Row in either FastVariant:
 //
 //   * Parallel     — pre program, seven products forked at once into seven
 //                    P temporaries, post program;
@@ -30,9 +31,12 @@
 //                    rest by accs) and the product folded into every C
 //                    quadrant whose list names it.
 //
-// Storage comes in through an adapter (see run() below): recursion.cpp runs
-// rows over tiled blocks, canonical.cpp over strided column-major views.
-// Adding a ⟨2,2,2⟩ algorithm is adding one Row.
+// standard() runs the eight-product recursion in either StandardVariant
+// (see its comment); the fast recursion hands its cutoff nodes to it.
+//
+// Storage comes in through an adapter (see the engine section below):
+// recursion.cpp runs both engines over tiled blocks, canonical.cpp over
+// strided column-major views. Adding a ⟨2,2,2⟩ algorithm is adding one Row.
 
 #include <array>
 #include <atomic>
@@ -208,24 +212,61 @@ extern const Row kWinograd;
 /// Row of a fast algorithm; null for Algorithm::Standard.
 const Row* row_for(Algorithm alg) noexcept;
 
-// ---- the engine ---------------------------------------------------------------
-//
+// ---- the engines -------------------------------------------------------------
+
+/// The recursion-context fields every storage shares. Each storage's
+/// context (MulContext, CanonContext) extends it with its own fields.
+struct Context {
+  KernelKind kernel = KernelKind::TiledUnrolled;
+  StandardVariant standard_variant = StandardVariant::Temporaries;
+  FastVariant fast_variant = FastVariant::Parallel;
+  WorkerPool* pool = nullptr;  ///< never null; a 0-thread pool is serial
+  /// External cancellation (GemmConfig::cancel): set by another thread
+  /// (deadline watchdog, shutdown). Nodes return without descending; the
+  /// driver turns it into rla::Error{Cancelled} once the task tree drains.
+  const std::atomic<bool>* cancel = nullptr;
+  /// Call-local cancellation: every TaskGroup the engines fork sets it when
+  /// a task throws, so one failure prunes every sibling subtree before the
+  /// exception reaches the driver (which discards the partial result).
+  std::atomic<bool>* abort = nullptr;
+  /// Injection-queue priority of every forked TaskGroup (GemmConfig::priority;
+  /// only matters when several requests share a pool).
+  int priority = 0;
+};
+
+/// The node preamble of both engines: true when the recursion should return
+/// (external or call-local cancellation); otherwise draws the task.throw
+/// fault site. One relaxed load per flag when nothing is armed.
+inline bool cancelled(const Context& ctx) {
+  if ((ctx.cancel != nullptr && ctx.cancel->load(std::memory_order_relaxed)) ||
+      (ctx.abort != nullptr && ctx.abort->load(std::memory_order_relaxed))) {
+    return true;
+  }
+  fault::maybe_fail_task(fault::Site::TaskThrow);
+  return false;
+}
+
 // An adapter `Ad` supplies the storage:
 //
-//   types   Ctx (has .pool, .priority, .fast_variant), View (writable block),
-//           CView (readable block; a View converts to it), Temp (owning
-//           quadrant-sized buffer, default-constructible and movable)
-//   node    cancelled(ctx), at_cutoff(ctx, c), fallback(ctx, c, a, b, path),
-//           parallel(ctx, c), cancel_flag(ctx) (TaskGroup wiring)
+//   types   Ctx (derives from Context), View (writable block), CView
+//           (readable block; a View converts to it), Temp (owning buffer,
+//           default-constructible and movable)
+//   node    parallel(ctx, c, a) (fork this node's children?),
+//           at_cutoff(ctx, c) (fast recursion hands over to standard),
+//           skip(ctx, a, b) (a zero operand annihilates the product),
+//           is_leaf(ctx, c, a), leaf(ctx, c, a, b) (C += A·B, FLOPs credited)
 //   blocks  quadrant(v, q) for View and CView (q: 0 NW, 1 NE, 2 SW, 3 SE),
+//           split(ctx, c, a, b) (a standard node's pieces, see Split),
 //           temp(like), view(temp), elems(v)
 //   adds    zero(ctx, d), set_add(ctx, d, x, s, y),
 //           acc(ctx, d, n, coeffs, srcs) (n in 1..4)
 //
-// The engine owns, once for every row and adapter: the cancellation check,
-// the cutoff fallback, the alloc.temp fault site, the treeprof paths (node
-// frames, products P1..P7 as children 0..6, add_flops on every add pass,
-// forked add tasks on the node's own path) and the "adds" trace phases.
+// The engines own, once for every adapter: the cancellation and task.throw
+// check, the alloc.temp fault site, the TaskGroup wiring to ctx.abort, the
+// treeprof paths (node frames; standard products as children mi*2+nj for
+// the first k-half and 4+mi*2+nj for the second, fast products P1..P7 as
+// children 0..6; add_flops on every add pass; forked add tasks on the
+// node's own path) and the "adds" trace phases.
 
 /// Run f via the group when parallel, inline otherwise.
 template <typename F>
@@ -244,6 +285,20 @@ typename Ad::Temp temp(const typename Ad::CView& like) {
   fault::maybe_fail_alloc(fault::Site::AllocTemp);
   return Ad::temp(like);
 }
+
+/// The pieces of one standard node. C splits into mp × np pieces and the
+/// inner dimension into kp halves; C piece (i, j) is c[i*2+j], A piece
+/// (i, l) is a[i*2+l] and B piece (l, j) is b[l*2+j] — the quadrant
+/// numbering when every count is 2. Pieces past a count are unused.
+template <typename Ad>
+struct Split {
+  std::size_t mp = 2, np = 2, kp = 2;
+  std::array<typename Ad::View, 4> c{};
+  std::array<typename Ad::CView, 4> a{}, b{};
+
+  /// Whether C piece q (= i*2+j) exists.
+  bool has(std::size_t q) const noexcept { return (q >> 1) < mp && (q & 1) < np; }
+};
 
 namespace detail {
 
@@ -285,7 +340,7 @@ void run_program(const typename Ad::Ctx& ctx, const Program& prog,
   // trace; only spawning nodes emit them (deep nodes would flood the ring).
   obs::PhaseScope adds_phase("adds", par);
   for (const Wave& wave : prog) {
-    TaskGroup group(*ctx.pool, Ad::cancel_flag(ctx), ctx.priority);
+    TaskGroup group(*ctx.pool, ctx.abort, ctx.priority);
     for (const Task& task : wave) {
       bilinear::fork(group, par, [&ctx, &ops, &task, path] {
         obs::treeprof::NodeScope add_node(path);
@@ -296,19 +351,98 @@ void run_program(const typename Ad::Ctx& ctx, const Program& prog,
   }
 }
 
+/// A standard Temporaries node's post-add wave: C piece q += temporary q.
+/// Out of line so its phase and group stay out of standard()'s frame, which
+/// every nested level of helping in TaskGroup::wait() repeats on the stack.
+template <typename Ad>
+[[gnu::noinline]] void add_temps(const typename Ad::Ctx& ctx, const Split<Ad>& s,
+                                 std::array<typename Ad::Temp, 4>& t, bool par,
+                                 std::uint64_t path) {
+  // "adds" phases mark the serial joints between product waves in the
+  // trace; only spawning nodes emit them (deep nodes would flood the ring).
+  obs::PhaseScope adds_phase("adds", par);
+  TaskGroup group(*ctx.pool, ctx.abort, ctx.priority);
+  for (std::size_t q = 0; q < 4; ++q) {
+    if (!s.has(q)) continue;
+    fork(group, par, [&, q] {
+      obs::treeprof::NodeScope add_node(path);
+      Ad::acc(ctx, s.c[q], 1, {1.0}, {Ad::view(t[q])});
+      obs::treeprof::add_flops(Ad::elems(s.c[q]));
+    });
+  }
+  group.wait();
+}
+
 }  // namespace detail
 
-/// C += A·B by `row`, recursing to Ad's cutoff; schedule per ctx.fast_variant.
+/// C += A·B by the standard eight-product recursion (Fig. 1(a)), down to
+/// Ad's leaves, in ctx.standard_variant's schedule:
+///
+///   * Temporaries — one wave: the first k-half's products into C, the
+///     second's into zeroed temporaries; then one wave of post-adds;
+///   * InPlace     — two waves, one per k-half, each product into C.
+///
+/// A node keeps its schedule whether or not it forks, so every element's
+/// summation order is fixed by the variant alone: results are identical at
+/// every thread count.
+template <typename Ad>
+void standard(const typename Ad::Ctx& ctx, const typename Ad::View& c,
+              const typename Ad::CView& a, const typename Ad::CView& b,
+              std::uint64_t path = obs::treeprof::kRootPath) {
+  if (cancelled(ctx) || Ad::skip(ctx, a, b)) return;
+  obs::treeprof::NodeScope node(path);
+  if (Ad::is_leaf(ctx, c, a)) {
+    Ad::leaf(ctx, c, a, b);
+    return;
+  }
+  const Split<Ad> s = Ad::split(ctx, c, a, b);
+  const bool par = Ad::parallel(ctx, c, a);
+  const bool temps = ctx.standard_variant == StandardVariant::Temporaries && s.kp == 2;
+  std::array<typename Ad::Temp, 4> t;
+  if (temps) {
+    for (std::size_t q = 0; q < 4; ++q) {
+      if (s.has(q)) t[q] = temp<Ad>(s.c[q]);
+    }
+  }
+  // The k-halves' products: one wave with temporaries, a wave each in place.
+  const std::size_t halves_per_wave = temps ? s.kp : 1;
+  for (std::size_t l0 = 0; l0 < s.kp; l0 += halves_per_wave) {
+    TaskGroup group(*ctx.pool, ctx.abort, ctx.priority);
+    for (std::size_t l = l0; l < l0 + halves_per_wave; ++l) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        if (!s.has(q)) continue;
+        const typename Ad::CView& x = s.a[(q & 2) + l];
+        const typename Ad::CView& y = s.b[l * 2 + (q & 1)];
+        const std::uint64_t child =
+            obs::treeprof::child_path(path, static_cast<unsigned>(4 * l + q));
+        if (l == 1 && temps) {
+          fork(group, par, [&, q, child] {
+            const typename Ad::View tq = Ad::view(t[q]);
+            Ad::zero(ctx, tq);
+            standard<Ad>(ctx, tq, x, y, child);
+          });
+        } else {
+          fork(group, par, [&, q, child] { standard<Ad>(ctx, s.c[q], x, y, child); });
+        }
+      }
+    }
+    group.wait();
+  }
+  if (temps) detail::add_temps<Ad>(ctx, s, t, par, path);
+}
+
+/// C += A·B by `row`, recursing to Ad's cutoff and finishing with standard();
+/// schedule per ctx.fast_variant.
 template <typename Ad>
 void run(const Row& row, const typename Ad::Ctx& ctx, const typename Ad::View& c,
          const typename Ad::CView& a, const typename Ad::CView& b,
          std::uint64_t path = obs::treeprof::kRootPath) {
   using detail::apply;
-  if (Ad::cancelled(ctx)) return;
   if (Ad::at_cutoff(ctx, c)) {
-    Ad::fallback(ctx, c, a, b, path);
+    standard<Ad>(ctx, c, a, b, path);
     return;
   }
+  if (cancelled(ctx)) return;
   obs::treeprof::NodeScope node(path);
   detail::Operands<Ad> ops;
   for (std::size_t q = 0; q < 4; ++q) {
@@ -349,7 +483,7 @@ void run(const Row& row, const typename Ad::Ctx& ctx, const typename Ad::View& c
     return;
   }
 
-  const bool par = Ad::parallel(ctx, c);
+  const bool par = Ad::parallel(ctx, c, a);
   std::array<typename Ad::Temp, kMaxTemps> s_tmp, t_tmp;
   std::array<typename Ad::Temp, 7> p_tmp;
   for (std::size_t k = 0; k < row.s_temps; ++k) {
@@ -367,7 +501,7 @@ void run(const Row& row, const typename Ad::Ctx& ctx, const typename Ad::View& c
   detail::run_program(ctx, row.pre, ops, par, path);
   {
     // The seven products, all spawned at once (paper §2).
-    TaskGroup group(*ctx.pool, Ad::cancel_flag(ctx), ctx.priority);
+    TaskGroup group(*ctx.pool, ctx.abort, ctx.priority);
     for (std::size_t i = 0; i < 7; ++i) {
       fork(group, par, [&, i] {
         const typename Ad::View& p = ops.out(nth(Slot::P1, i));

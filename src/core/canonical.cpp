@@ -22,20 +22,6 @@ MatrixView sub(MatrixView v, std::uint32_t r0, std::uint32_t c0, std::uint32_t r
   return {v.data + static_cast<std::size_t>(c0) * v.ld + r0, v.ld, rows, cols};
 }
 
-void leaf(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
-          ConstMatrixView b) {
-  leaf_mm(ctx.kernel, c.rows, c.cols, a.cols, 1.0, a.data, a.ld, b.data, b.ld,
-          c.data, c.ld);
-  treeprof::add_flops(2ull * c.rows * c.cols * a.cols);
-}
-
-/// Cancellation check at node granularity (external, or a failed sibling
-/// task); the canonical counterpart of recursion.cpp's node_cancelled.
-bool canon_cancelled(const CanonContext& ctx) noexcept {
-  return (ctx.cancel != nullptr && ctx.cancel->load(std::memory_order_relaxed)) ||
-         (ctx.abort != nullptr && ctx.abort->load(std::memory_order_relaxed));
-}
-
 /// Fork the subproblems of an m×n×k node as tasks? Always under race
 /// detection, which certifies the parallel task DAG even on a serial pool.
 bool spawn_here(const CanonContext& ctx, std::uint64_t m, std::uint64_t n,
@@ -44,87 +30,9 @@ bool spawn_here(const CanonContext& ctx, std::uint64_t m, std::uint64_t n,
          (!ctx.pool->serial() && 2 * m * n * k >= ctx.spawn_flops);
 }
 
-}  // namespace
-
-using bilinear::fork;
-
-void canon_standard(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
-                    ConstMatrixView b, std::uint64_t path) {
-  if (canon_cancelled(ctx)) return;
-  treeprof::NodeScope tree_node(path);
-  const std::uint32_t m = c.rows, n = c.cols, k = a.cols;
-  if (m <= ctx.leaf && n <= ctx.leaf && k <= ctx.leaf) {
-    leaf(ctx, c, a, b);
-    return;
-  }
-  // Ceiling-half boundaries for each dimension that needs splitting.
-  auto bounds = [&](std::uint32_t x) {
-    std::array<std::uint32_t, 3> edges{0, x, x};
-    std::size_t pieces = 1;
-    if (x > ctx.leaf) {
-      edges[1] = (x + 1) / 2;
-      pieces = 2;
-    }
-    return std::pair(edges, pieces);
-  };
-  const auto [me, mp] = bounds(m);
-  const auto [ne, np] = bounds(n);
-  const auto [ke, kp] = bounds(k);
-  const bool par = spawn_here(ctx, m, n, k);
-
-  TaskGroup group(*ctx.pool, nullptr, ctx.priority);
-  for (std::size_t mi = 0; mi < mp; ++mi) {
-    for (std::size_t nj = 0; nj < np; ++nj) {
-      const std::uint32_t r0 = me[mi], rows = me[mi + 1] - me[mi];
-      const std::uint32_t c0 = ne[nj], cols = ne[nj + 1] - ne[nj];
-      MatrixView cc = sub(c, r0, c0, rows, cols);
-      // Tree addresses follow the tiled recursion's convention: C-quadrant
-      // products of the first k-half are children 0..3, the second k-half
-      // 4..7.
-      const unsigned ci = static_cast<unsigned>(mi * 2 + nj);
-      fork(group, par, [=, &ctx, &ke = ke, kp = kp] {
-        if (kp == 1) {
-          canon_standard(ctx, cc, sub(a, r0, 0, rows, k), sub(b, 0, c0, k, cols),
-                         treeprof::child_path(path, ci));
-          return;
-        }
-        const std::uint32_t k1 = ke[1];
-        ConstMatrixView a1 = sub(a, r0, 0, rows, k1);
-        ConstMatrixView a2 = sub(a, r0, k1, rows, k - k1);
-        ConstMatrixView b1 = sub(b, 0, c0, k1, cols);
-        ConstMatrixView b2 = sub(b, k1, c0, k - k1, cols);
-        if (ctx.standard_variant == StandardVariant::Temporaries && par) {
-          // Paper Fig. 1(a) parallel form: both k-halves at once, the second
-          // into a temporary folded in by a post-addition.
-          Matrix tmp(rows, cols);
-          TaskGroup inner(*ctx.pool, nullptr, ctx.priority);
-          inner.spawn([=, &ctx] {
-            canon_standard(ctx, cc, a1, b1, treeprof::child_path(path, ci));
-          });
-          inner.spawn([&tmp, a2, b2, &ctx, path, ci] {
-            tmp.zero();
-            canon_standard(ctx, tmp.view(), a2, b2,
-                           treeprof::child_path(path, 4 + ci));
-          });
-          inner.wait();
-          treeprof::NodeScope add_node(path);
-          strided_acc(cc.data, cc.ld, 1.0, tmp.data(), tmp.ld(), rows, cols);
-          treeprof::add_flops(static_cast<std::uint64_t>(rows) * cols);
-        } else {
-          canon_standard(ctx, cc, a1, b1, treeprof::child_path(path, ci));
-          canon_standard(ctx, cc, a2, b2, treeprof::child_path(path, 4 + ci));
-        }
-      });
-    }
-  }
-  group.wait();
-}
-
-namespace {
-
-/// The strided column-major adapter of the bilinear engine
-/// (core/bilinear.hpp): quadrants are leading-dimension views, temporaries
-/// are compact (ld == h), so each level of the fast recursions halves the
+/// The strided column-major adapter of the recursion engines
+/// (core/bilinear.hpp): pieces are leading-dimension views, temporaries are
+/// compact (ld == rows), so each level of the fast recursions halves the
 /// leading dimension (paper §5.1).
 struct StridedOps {
   using Ctx = CanonContext;
@@ -132,18 +40,44 @@ struct StridedOps {
   using CView = ConstMatrixView;
   using Temp = Matrix;
 
-  static bool cancelled(const Ctx& ctx) { return canon_cancelled(ctx); }
-  static std::atomic<bool>* cancel_flag(const Ctx& ctx) { return ctx.abort; }
+  static bool parallel(const Ctx& ctx, const View& c, const CView& a) {
+    return spawn_here(ctx, c.rows, c.cols, a.cols);
+  }
   static bool at_cutoff(const Ctx& ctx, const View& c) {
     return c.rows <= ctx.leaf || (c.rows & 1) != 0;
   }
-  static void fallback(const Ctx& ctx, const View& c, const CView& a, const CView& b,
-                       std::uint64_t path) {
-    treeprof::NodeScope node(path);
-    leaf(ctx, c, a, b);
+  static bool skip(const Ctx&, const CView&, const CView&) { return false; }
+  static bool is_leaf(const Ctx& ctx, const View& c, const CView& a) {
+    return c.rows <= ctx.leaf && c.cols <= ctx.leaf && a.cols <= ctx.leaf;
   }
-  static bool parallel(const Ctx& ctx, const View& c) {
-    return spawn_here(ctx, c.rows, c.rows, c.rows);
+  static void leaf(const Ctx& ctx, const View& c, const CView& a, const CView& b) {
+    leaf_mm(ctx.kernel, c.rows, c.cols, a.cols, 1.0, a.data, a.ld, b.data, b.ld,
+            c.data, c.ld);
+    treeprof::add_flops(2ull * c.rows * c.cols * a.cols);
+  }
+  /// Ceiling halves of each dimension above the leaf; the others stay whole.
+  static bilinear::Split<StridedOps> split(const Ctx& ctx, const View& c,
+                                           const CView& a, const CView& b) {
+    bilinear::Split<StridedOps> s;
+    auto edges = [&](std::uint32_t x, std::size_t& pieces) {
+      pieces = x > ctx.leaf ? 2 : 1;
+      return std::array<std::uint32_t, 3>{0, pieces == 2 ? (x + 1) / 2 : x, x};
+    };
+    const auto me = edges(c.rows, s.mp), ne = edges(c.cols, s.np),
+               ke = edges(a.cols, s.kp);
+    for (std::uint32_t q = 0; q < 4; ++q) {
+      const std::uint32_t r = q >> 1, col = q & 1;
+      if (r < s.mp && col < s.np) {
+        s.c[q] = sub(c, me[r], ne[col], me[r + 1] - me[r], ne[col + 1] - ne[col]);
+      }
+      if (r < s.mp && col < s.kp) {
+        s.a[q] = sub(a, me[r], ke[col], me[r + 1] - me[r], ke[col + 1] - ke[col]);
+      }
+      if (r < s.kp && col < s.np) {
+        s.b[q] = sub(b, ke[r], ne[col], ke[r + 1] - ke[r], ne[col + 1] - ne[col]);
+      }
+    }
+    return s;
   }
   template <typename V>
   static V quadrant(const V& x, int q) {
@@ -181,6 +115,11 @@ struct StridedOps {
 };
 
 }  // namespace
+
+void canon_standard(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
+                    ConstMatrixView b, std::uint64_t path) {
+  bilinear::standard<StridedOps>(ctx, c, a, b, path);
+}
 
 void canon_strassen(const CanonContext& ctx, MatrixView c, ConstMatrixView a,
                     ConstMatrixView b, std::uint64_t path) {

@@ -1,54 +1,35 @@
 #pragma once
 
-// The three recursive multiplication algorithms over tiled blocks
-// (paper §2, Fig. 1), with the parallel spawn structure of §2 ("the seven or
-// eight calls are spawned in parallel") expressed as TaskGroup forks. The
-// standard recursion is written out here; Strassen and Winograd are rows of
-// core/bilinear.hpp run by its engine through recursion.cpp's tiled-block
-// adapter.
+// The three recursive multiplication algorithms over tiled blocks (paper §2,
+// Fig. 1), with the parallel spawn structure of §2 ("the seven or eight
+// calls are spawned in parallel") expressed as TaskGroup forks. The
+// recursions themselves are core/bilinear.hpp's engines — standard() and
+// the fast rows' run() — driven through recursion.cpp's tiled-block adapter;
+// canonical.hpp runs the same engines over column-major views.
 //
 // All routines compute C += A·B on blocks of equal level; A's tiles are
 // t_m × t_k, B's t_k × t_n, C's t_m × t_n. Temporaries are fresh TiledMatrix
 // allocations of quadrant size — for the fast algorithms this is the paper's
 // §5.1 observation that every recursion level halves the leading dimension.
 
-#include <atomic>
 #include <cstdint>
 
-#include "core/add.hpp"
-#include "core/config.hpp"
+#include "core/bilinear.hpp"
 #include "core/tiled_matrix.hpp"
 #include "obs/treeprof/treeprof.hpp"
-#include "parallel/worker_pool.hpp"
 
 namespace rla {
 
 class ZeroTree;
 
-/// Shared state of one multiplication: immutable configuration + the pool.
-struct MulContext {
-  KernelKind kernel = KernelKind::TiledUnrolled;
-  StandardVariant standard_variant = StandardVariant::Temporaries;
-  FastVariant fast_variant = FastVariant::Parallel;
-  int fast_cutoff_level = 0;     ///< Strassen/Winograd fall back to standard at/below
+/// One tiled multiplication: the shared engine fields plus the tiled
+/// recursion's own.
+struct MulContext : bilinear::Context {
+  int fast_cutoff_level = 0;     ///< Strassen/Winograd hand over to standard at/below
   bool force_generic_additions = false;
   /// Recursive calls are spawned as tasks at this block level and above;
   /// below it the recursion runs serially inside the owning task.
   int spawn_min_level = 2;
-  WorkerPool* pool = nullptr;    ///< never null; a 0-thread pool is serial
-  /// Cooperative cancellation: when set and true, the recursion returns
-  /// without descending further. Wired to the TaskGroups it creates, so one
-  /// failed task prunes every sibling subtree (the partial C is discarded by
-  /// the driver, which rethrows the task's exception).
-  std::atomic<bool>* cancel = nullptr;
-  /// External cancellation (GemmConfig::cancel): same pruning effect, but
-  /// set by another thread (deadline watchdog, shutdown) instead of a failed
-  /// task. The driver — not the recursion — turns it into an
-  /// rla::Error{Cancelled} once the task tree has drained.
-  const std::atomic<bool>* external_cancel = nullptr;
-  /// Injection-queue priority for every TaskGroup this multiplication forks
-  /// (GemmConfig::priority; only matters when several requests share a pool).
-  int priority = 0;
   /// Optional Frens–Wise zero-block flags for the original A/B operands
   /// (standard algorithm only): all-zero blocks act as multiplicative
   /// annihilators and their products are skipped. Must describe exactly the
