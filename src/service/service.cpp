@@ -192,9 +192,16 @@ std::size_t GemmService::estimate_bytes(const Request& req) const noexcept {
   const auto k = static_cast<std::uint64_t>(req.k);
   const GemmConfig& g = req.cfg;
   if (g.layout == Curve::ColMajor) {
-    // Canonical fast path: three padded square copies. Canonical standard:
-    // in place on the caller's arrays, the admission floor.
-    if (g.algorithm == Algorithm::Standard) return 0;
+    if (g.algorithm == Algorithm::Standard) {
+      // In place on the caller's arrays. InPlace is the admission floor;
+      // Temporaries gives every node quadrant temporaries as large as its C
+      // piece, so a chain of nested nodes peaks below 4/3·m·n, and each
+      // worker and the executor can hold a chain.
+      if (g.standard_variant == StandardVariant::InPlace) return 0;
+      const std::uint64_t chains = pool_->thread_count() + std::uint64_t{1};
+      return 4 * m * n * chains * sizeof(double) / 3;
+    }
+    // Canonical fast path: three padded square copies.
     const std::uint64_t p = next_pow2(std::max({m, n, k, std::uint64_t{1}}));
     return 3 * p * p * sizeof(double);
   }
@@ -505,6 +512,15 @@ void GemmService::run_request(const std::shared_ptr<Pending>& p) {
       return;
     } catch (const std::exception& e) {
       last_error = e.what();
+    }
+    // The failed attempt had begun writing C (β·C plus partial products):
+    // unless β = 0 overwrites it, a retry on that C would apply β twice.
+    const std::vector<std::string>& gemm_trail = profile.degradation_trail;
+    if (p->req.beta != 0.0 &&
+        std::find(gemm_trail.begin(), gemm_trail.end(), kTrailCWritten) !=
+            gemm_trail.end()) {
+      finalize(p, Outcome::Failed, last_error, std::move(profile));
+      return;
     }
     if (attempt + 1 < max_attempts) {
       registry_.counter("service.retries").add();

@@ -315,6 +315,20 @@ TEST(Service, ArenaPressureDegradesAdmission) {
   EXPECT_LT(job.error(), 1e-9);  // degraded, still correct
 }
 
+TEST(Service, ArenaChargesCanonicalStandardTemporaries) {
+  // ColMajor Standard runs on the caller's arrays, but its Temporaries
+  // variant holds quadrant temporaries at every node: only InPlace is free.
+  ServiceConfig cfg = small_config();
+  cfg.arena_bytes = 64 << 10;  // below the temporaries of 128^2
+  GemmService service(cfg);
+  Job job(128, 128, 128, 34);
+  job.req.cfg.layout = Curve::ColMajor;
+  Response r = service.submit(job.req).get();
+  EXPECT_EQ(r.outcome, Outcome::Degraded) << r.reason;
+  EXPECT_TRUE(trail_contains(r, "service:degraded:arena:->standard-inplace"));
+  EXPECT_LT(job.error(), 1e-9);
+}
+
 TEST(Service, ArenaPressureRejectsWhenDegradationForbidden) {
   ServiceConfig cfg = small_config();
   cfg.arena_bytes = 64 << 10;
@@ -358,6 +372,39 @@ TEST(Service, TransientFaultIsRetriedToCompletion) {
   EXPECT_GE(r.attempts, 2);
   EXPECT_TRUE(trail_contains(r, "service:retry"));
   EXPECT_LT(job.error(), 1e-9);
+}
+
+TEST(Service, RetryNeverRunsOverAPartlyWrittenC) {
+  // ColMajor Standard writes C in place. The process-global plan fails one
+  // recursion node of the first attempt, after C was scaled by β and partly
+  // accumulated. With β ≠ 0 the request must fail instead of retrying on
+  // that C; with β = 0 the retry overwrites C and completes exactly.
+  for (const double beta : {1.0, 0.0}) {
+    SCOPED_TRACE(beta);
+    GemmService service(small_config());
+    fault::ScopedPlan transient("task.throw:nth=3");
+    Job job(96, 96, 96, 31);
+    job.c = random_matrix(96, 96, 33);
+    Matrix c_ref = job.c;
+    job.req.c = job.c.data();
+    job.req.beta = beta;
+    job.req.cfg.layout = Curve::ColMajor;
+    job.req.retry_budget = 2;
+    job.req.allow_degradation = false;
+    Response r = service.submit(job.req).get();
+    if (beta != 0.0) {
+      EXPECT_EQ(r.outcome, Outcome::Failed) << r.reason;
+      EXPECT_EQ(r.attempts, 1);
+      EXPECT_TRUE(trail_contains(r, kTrailCWritten));
+      EXPECT_FALSE(trail_contains(r, "service:retry"));
+      continue;
+    }
+    EXPECT_EQ(r.outcome, Outcome::Degraded) << r.reason;
+    EXPECT_EQ(r.attempts, 2);
+    reference_gemm(96, 96, 96, 1.0, job.a.data(), job.a.ld(), false, job.b.data(),
+                   job.b.ld(), false, beta, c_ref.data(), c_ref.ld());
+    EXPECT_LT(max_abs_diff(job.c.view(), c_ref.view()), 1e-10);
+  }
 }
 
 TEST(Service, ExhaustedRetriesFail) {
