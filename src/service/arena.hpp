@@ -6,10 +6,10 @@
 // A single gemm call degrades when *its own* allocation fails; a service
 // running many concurrent calls must not get that far — by the time malloc
 // fails, every in-flight request is at risk. The arena moves the decision up
-// front: each admitted request RESERVES its estimated tiled/temporary
-// footprint against a fixed budget, and a request that does not fit is
-// degraded to a cheaper configuration (fast → standard → canonical) or
-// rejected before it allocates anything. Within the budget, the arena also
+// front: each admitted request RESERVES its footprint (rla::footprint_bytes:
+// conversion buffers, copies and recursion temporaries) against a fixed
+// budget, and a request that does not fit takes the driver's ladder rungs
+// (rla::kLadder) or is rejected before it allocates anything. Within the budget, the arena also
 // RECYCLES aligned buffers across requests (size-class free lists), so a
 // steady stream of same-shaped problems stops hammering the system
 // allocator — the pooling Huang et al.'s BLIS-Strassen work argues shared

@@ -16,6 +16,7 @@
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
 #include "util/env.hpp"
+#include "util/rng.hpp"
 
 namespace rla::service {
 
@@ -27,12 +28,6 @@ using Clock = std::chrono::steady_clock;
 
 std::int64_t ns_between(Clock::time_point a, Clock::time_point b) noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
-}
-
-std::uint64_t next_pow2(std::uint64_t v) noexcept {
-  std::uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
 }
 
 /// SLO bucketing: three coarse priority classes keep the per-class
@@ -113,10 +108,28 @@ struct GemmService::Pending {
   Mutex trail_mutex;  // lock-level: registry
   std::vector<std::string> trail RLA_GUARDED_BY(trail_mutex);
   int attempts RLA_GUARDED_BY(trail_mutex) = 0;
+  /// Ladder rungs taken: at admission by submit(), then on retries by the
+  /// one executor running the request (the queue hand-off orders the two).
+  int rungs = 0;
 
   void note(std::string entry) RLA_EXCLUDES(trail_mutex) {
     MutexLock lock(trail_mutex);
     trail.push_back(std::move(entry));
+  }
+  /// Rewrite req.cfg by the next rung of the driver's ladder (kLadder),
+  /// note "service:degraded:<why>:<rung>" and, when `flight` is set, record
+  /// a Degrade event valued at the rung's 1-based position. False when the
+  /// config is already at the floor.
+  bool degrade(const char* why, obs::telemetry::FlightRecorder* flight)
+      RLA_EXCLUDES(trail_mutex) {
+    const Rung* rung = take_rung(req.cfg);
+    if (rung == nullptr) return false;
+    ++rungs;
+    note(std::string("service:degraded:") + why + ":" + std::string(rung->name));
+    if (flight != nullptr) {
+      flight->record(FlightKind::Degrade, id, trace, rung - kLadder.data() + 1);
+    }
+    return true;
   }
   bool has_deadline() const noexcept {
     return deadline_tp != Clock::time_point{};
@@ -186,62 +199,6 @@ std::size_t GemmService::in_flight() const noexcept {
   return inflight_;
 }
 
-std::size_t GemmService::estimate_bytes(const Request& req) const noexcept {
-  const auto m = static_cast<std::uint64_t>(req.m);
-  const auto n = static_cast<std::uint64_t>(req.n);
-  const auto k = static_cast<std::uint64_t>(req.k);
-  const GemmConfig& g = req.cfg;
-  if (g.layout == Curve::ColMajor) {
-    if (g.algorithm == Algorithm::Standard) {
-      // In place on the caller's arrays. InPlace is the admission floor;
-      // Temporaries gives every node quadrant temporaries as large as its C
-      // piece, so a chain of nested nodes peaks below 4/3·m·n, and each
-      // worker and the executor can hold a chain.
-      if (g.standard_variant == StandardVariant::InPlace) return 0;
-      const std::uint64_t chains = pool_->thread_count() + std::uint64_t{1};
-      return 4 * m * n * chains * sizeof(double) / 3;
-    }
-    // Canonical fast path: three padded square copies.
-    const std::uint64_t p = next_pow2(std::max({m, n, k, std::uint64_t{1}}));
-    return 3 * p * p * sizeof(double);
-  }
-  // Tiled path: three conversion matrices; padding to the tile grid at most
-  // doubles each dimension, so 4x elements bounds the worst case.
-  return 4 * (m * k + k * n + m * n) * sizeof(double);
-}
-
-bool GemmService::degrade_step(Pending& p, const char* why, bool record_flight) {
-  GemmConfig& g = p.req.cfg;
-  std::string step("service:degraded:");
-  step += why;
-  std::int64_t rung = 0;
-  if (g.algorithm != Algorithm::Standard &&
-      g.fast_variant != FastVariant::SerialLowMem) {
-    g.fast_variant = FastVariant::SerialLowMem;
-    p.note(step + ":fast->serial-lowmem");
-    rung = 1;
-  } else if (g.algorithm != Algorithm::Standard ||
-             g.standard_variant != StandardVariant::InPlace) {
-    g.algorithm = Algorithm::Standard;
-    g.standard_variant = StandardVariant::InPlace;
-    p.note(step + ":->standard-inplace");
-    rung = 2;
-  } else if (g.layout != Curve::ColMajor) {
-    g.layout = Curve::ColMajor;
-    p.note(step + ":->canonical");
-    rung = 3;
-  } else {
-    return false;  // already at the floor
-  }
-  // Admission-ladder degrades (record_flight = false) stay out of the ring:
-  // the request is not admitted yet, and the bundle-closure invariant only
-  // covers requests between their Admit and Finalize events.
-  if (record_flight) {
-    flight_.record(FlightKind::Degrade, p.id, p.trace, rung);
-  }
-  return true;
-}
-
 std::future<Response> GemmService::submit(const Request& req) {
   auto p = std::make_shared<Pending>();
   p->req = req;
@@ -288,17 +245,21 @@ std::future<Response> GemmService::submit(const Request& req) {
   p->id = next_id_++;
   lock.unlock();
 
-  // Memory admission: reserve the estimated footprint, degrading the config
-  // onto cheaper paths until it fits (the PR-1 ladder, run *before* any
-  // allocation instead of after a failure).
-  BufferArena::Reservation res = arena_.try_reserve(estimate_bytes(p->req));
-  while (!res) {
-    if (!p->req.allow_degradation || !degrade_step(*p, "arena", false)) {
+  // Memory admission: reserve the footprint, taking one rung of the
+  // driver's degradation ladder per failed reservation (the same ladder,
+  // run *before* any allocation instead of after a failure). These rungs
+  // stay out of the flight ring: the request is not admitted yet, and the
+  // bundle-closure invariant only covers requests between their Admit and
+  // Finalize events.
+  const Request& q = p->req;
+  BufferArena::Reservation res;
+  while (!(res = arena_.try_reserve(footprint_bytes(
+               q.m, q.n, q.k, q.cfg, pool_->thread_count(), q.alpha, q.op_a, q.op_b)))) {
+    if (!q.allow_degradation || !p->degrade("arena", nullptr)) {
       registry_.counter("service.arena_rejections").add();
       return reject("arena-budget");
     }
     registry_.counter("service.degraded_admission").add();
-    res = arena_.try_reserve(estimate_bytes(p->req));
   }
   p->reservation = std::move(res);
 
@@ -453,7 +414,16 @@ void GemmService::run_request(const std::shared_ptr<Pending>& p) {
   const int max_attempts = 1 + std::max(0, p->req.retry_budget);
   std::string last_error;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    GemmConfig cfg = p->req.cfg;  // degrade_step may rewrite between tries
+    GemmConfig cfg = p->req.cfg;  // a retry may take a rung between tries
+    // A request-scoped fault plan re-arms on every attempt. Reseed a retry's
+    // plan from (seed, attempt), so it faces fresh faults instead of
+    // replaying the pattern that just failed it (a later seed= clause wins).
+    fault::FaultPlan plan;
+    if (attempt > 0 && !cfg.fault_spec.empty() &&
+        fault::parse_plan(cfg.fault_spec, plan)) {
+      const auto salt = static_cast<std::uint64_t>(attempt);
+      cfg.fault_spec += ";seed=" + std::to_string(Xoshiro256(plan.seed + salt).next_u64());
+    }
     cfg.pool = pool_.get();
     cfg.threads = 0;
     cfg.cancel = &p->cancel;
@@ -472,20 +442,10 @@ void GemmService::run_request(const std::shared_ptr<Pending>& p) {
       const Request& q = p->req;
       gemm(q.m, q.n, q.k, q.alpha, q.a, q.lda, q.op_a, q.b, q.ldb, q.op_b,
            q.beta, q.c, q.ldc, cfg, &profile);
-      bool degraded = profile.degradations > 0;
-      {
-        // Only config rewrites and retries make the outcome Degraded;
-        // informational entries (e.g. "service:stall-injected") on an
-        // otherwise clean run do not.
-        MutexLock lock(p->trail_mutex);
-        for (const std::string& entry : p->trail) {
-          if (entry.rfind("service:degraded:", 0) == 0 ||
-              entry.rfind("service:retry:", 0) == 0) {
-            degraded = true;
-            break;
-          }
-        }
-      }
+      // Only config rewrites and retries make the outcome Degraded;
+      // informational entries (e.g. "service:stall-injected") on an
+      // otherwise clean run do not.
+      const bool degraded = profile.degradations > 0 || p->rungs > 0 || attempt > 0;
       finalize(p, degraded ? Outcome::Degraded : Outcome::Completed, "",
                std::move(profile));
       return;
@@ -529,7 +489,7 @@ void GemmService::run_request(const std::shared_ptr<Pending>& p) {
       // Each retry steps the config down one rung first (when permitted):
       // retrying the exact configuration that just failed is only useful
       // against transient faults, and cheaper paths dodge persistent ones.
-      if (p->req.allow_degradation) degrade_step(*p, "retry", true);
+      if (p->req.allow_degradation) p->degrade("retry", &flight_);
     }
   }
   finalize(p, Outcome::Failed, last_error, {});

@@ -23,8 +23,9 @@
 //    cancel flag, the recursion prunes, and the driver raises Cancelled at
 //    its next checkpoint.
 //  * Admission is priority-aware and memory-aware: when the arena cannot
-//    cover a request's footprint the service degrades it (fast → standard →
-//    canonical, each step cheaper in temporaries) before rejecting.
+//    cover a request's footprint_bytes the service takes the driver's own
+//    ladder rungs (kLadder: fast->serial-lowmem, standard-inplace,
+//    canonical-inplace; each cheaper in memory) before rejecting.
 //  * Backpressure: at most max_inflight requests queued+running; beyond
 //    that submit() completes immediately with Rejected{reason="queue-full"}.
 //
@@ -108,7 +109,8 @@ struct Request {
   std::chrono::microseconds deadline{0};
 
   /// Attempts after the first on a non-cancellation failure (each retry may
-  /// first degrade the config one more step). 0 = fail fast.
+  /// first take one more ladder rung, and reseeds a request-scoped
+  /// fault_spec from (seed, attempt)). 0 = fail fast.
   int retry_budget = 1;
 
   /// Permit the admission/retry ladder to rewrite the config onto cheaper
@@ -122,8 +124,9 @@ struct Response {
   std::string reason;          ///< human-readable detail for non-Completed
   GemmProfile profile;         ///< profile of the final (successful) attempt
   /// Service-level events prepended to the gemm trail, e.g.
-  /// "service:degraded:arena:fast->standard", "service:retry:1",
-  /// "service:deadline". The gemm driver's own trail follows.
+  /// "service:degraded:arena:fast->serial-lowmem", "service:retry:1",
+  /// "service:degraded:retry:standard-inplace", "service:deadline". The
+  /// gemm driver's own trail follows.
   std::vector<std::string> degradation_trail;
   int attempts = 0;            ///< gemm() invocations made (0 = rejected)
   std::uint64_t id = 0;        ///< service-assigned sequence number
@@ -237,12 +240,6 @@ class GemmService {
   void finalize(const std::shared_ptr<Pending>& p, Outcome outcome,
                 std::string reason, GemmProfile profile)
       RLA_EXCLUDES(service_mutex_);
-  /// Degrade p's config one step; false when already at the floor. Records
-  /// a flight Degrade event when `record_flight` (suppressed during the
-  /// admission ladder: the request is not admitted yet, and the bundle
-  /// invariant only covers admitted requests).
-  bool degrade_step(Pending& p, const char* why, bool record_flight);
-  std::size_t estimate_bytes(const Request& req) const noexcept;
   /// Fold every point-in-time surface (queue gauges, arena, scheduler
   /// totals, SLO quantiles, telemetry counters) into registry_.
   void fold_runtime_metrics() const RLA_EXCLUDES(service_mutex_);

@@ -325,8 +325,126 @@ TEST(Service, ArenaChargesCanonicalStandardTemporaries) {
   job.req.cfg.layout = Curve::ColMajor;
   Response r = service.submit(job.req).get();
   EXPECT_EQ(r.outcome, Outcome::Degraded) << r.reason;
-  EXPECT_TRUE(trail_contains(r, "service:degraded:arena:->standard-inplace"));
+  EXPECT_TRUE(trail_contains(r, "service:degraded:arena:standard-inplace"));
   EXPECT_LT(job.error(), 1e-9);
+}
+
+TEST(Service, ArenaChargesTiledFastTemporaries) {
+  // Z-Morton 128³ on two workers. Strassen Parallel holds seventeen quadrant
+  // temporaries per node on each of three threads' chains; SerialLowMem
+  // holds three per level on one chain; Standard InPlace holds none. A 1 MiB
+  // budget lies between the two Strassen footprints and above InPlace's.
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+  ServiceConfig cfg = small_config();
+  cfg.arena_bytes = kBudget;
+  GemmService service(cfg);
+  const unsigned workers = service.pool().thread_count();
+  GemmConfig strassen;
+  strassen.algorithm = Algorithm::Strassen;
+  GemmConfig lowmem = strassen;
+  lowmem.fast_variant = FastVariant::SerialLowMem;
+  GemmConfig inplace;
+  inplace.standard_variant = StandardVariant::InPlace;
+  EXPECT_GT(footprint_bytes(128, 128, 128, strassen, workers), kBudget);
+  EXPECT_LT(footprint_bytes(128, 128, 128, lowmem, workers), kBudget);
+  EXPECT_LT(footprint_bytes(128, 128, 128, inplace, workers), kBudget);
+
+  Job fast(128, 128, 128, 35);
+  fast.req.cfg = strassen;
+  Response r = service.submit(fast.req).get();
+  EXPECT_EQ(r.outcome, Outcome::Degraded) << r.reason;
+  std::vector<std::string> service_steps;
+  for (const std::string& step : r.degradation_trail) {
+    if (step.rfind("service:", 0) == 0) service_steps.push_back(step);
+  }
+  EXPECT_EQ(service_steps,
+            std::vector<std::string>{"service:degraded:arena:fast->serial-lowmem"});
+  EXPECT_LT(fast.error(), 1e-9);
+
+  Job standard(128, 128, 128, 36);
+  standard.req.cfg = inplace;
+  Response s = service.submit(standard.req).get();
+  EXPECT_EQ(s.outcome, Outcome::Completed) << s.reason;
+  EXPECT_LT(standard.error(), 1e-9);
+}
+
+TEST(Service, DriverAndServiceWalkTheSameRungs) {
+  // From one starting config, the driver's allocation ladder and the
+  // service's admission ladder take the same rungs in the same order.
+  GemmConfig start;
+  start.algorithm = Algorithm::Strassen;
+
+  Job driven(64, 64, 64, 37);
+  GemmConfig faulty = start;
+  faulty.fault_spec = "alloc.tiled:p=1";
+  GemmProfile profile;
+  gemm(64, 64, 64, 1.0, driven.a.data(), driven.a.ld(), Op::None, driven.b.data(),
+       driven.b.ld(), Op::None, 0.0, driven.c.data(), driven.c.ld(), faulty, &profile);
+  EXPECT_LT(driven.error(), 1e-9);
+  std::vector<std::string> driver_rungs;
+  for (const std::string& step : profile.degradation_trail) {
+    if (step.rfind("alloc:", 0) == 0) driver_rungs.push_back(step.substr(6));
+  }
+
+  ServiceConfig cfg = small_config();
+  cfg.arena_bytes = 1;  // only an allocation-free config fits
+  GemmService service(cfg);
+  Job served(64, 64, 64, 38);
+  served.req.cfg = start;
+  Response r = service.submit(served.req).get();
+  EXPECT_EQ(r.outcome, Outcome::Degraded) << r.reason;
+  EXPECT_LT(served.error(), 1e-9);
+  const std::string prefix = "service:degraded:arena:";
+  std::vector<std::string> service_rungs;
+  for (const std::string& step : r.degradation_trail) {
+    if (step.rfind(prefix, 0) == 0) service_rungs.push_back(step.substr(prefix.size()));
+  }
+
+  EXPECT_EQ(driver_rungs, (std::vector<std::string>{"fast->serial-lowmem",
+                                                     "standard-inplace",
+                                                     "canonical-inplace"}));
+  EXPECT_EQ(service_rungs, driver_rungs);
+}
+
+TEST(Service, FootprintBoundsPeakScratchBytes) {
+  // The conversion buffers gemm() draws through acquire_scratch, metered by
+  // the hooks: their peak outstanding bytes stay within footprint_bytes on
+  // an unsplit shape, a split shape and the LU trailing update's shape.
+  struct Shape {
+    std::uint32_t m, n, k;
+    bool split;
+  };
+  for (const Shape& shape : {Shape{256, 256, 256, false}, Shape{512, 96, 64, true},
+                             Shape{2048, 2048, 64, true}}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << shape.m << "x" << shape.n << "x" << shape.k
+                                      << " threads=" << threads);
+      std::atomic<std::size_t> live{0}, peak{0};
+      GemmConfig cfg;
+      cfg.threads = threads;
+      cfg.acquire_scratch = [&](std::size_t count) {
+        const std::size_t now = live += count * sizeof(double);
+        std::size_t seen = peak.load();
+        while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+        }
+        return AlignedBuffer<double>(count);
+      };
+      cfg.release_scratch = [&](AlignedBuffer<double>&& buf) {
+        live -= buf.size() * sizeof(double);
+      };
+      const Matrix a = random_matrix(shape.m, shape.k, 39);
+      const Matrix b = random_matrix(shape.k, shape.n, 40);
+      Matrix c = random_matrix(shape.m, shape.n, 41);
+      GemmProfile profile;
+      gemm(shape.m, shape.n, shape.k, 1.0, a.data(), a.ld(), Op::None, b.data(),
+           b.ld(), Op::None, 1.0, c.data(), c.ld(), cfg, &profile);
+      EXPECT_EQ(profile.splits > 0, shape.split);
+      EXPECT_EQ(live.load(), 0u);
+      EXPECT_GT(peak.load(), 0u);
+      EXPECT_LE(peak.load(), footprint_bytes(shape.m, shape.n, shape.k, cfg,
+                                             threads <= 1 ? 0 : threads));
+    }
+  }
 }
 
 TEST(Service, ArenaPressureRejectsWhenDegradationForbidden) {
@@ -417,6 +535,34 @@ TEST(Service, ExhaustedRetriesFail) {
   EXPECT_EQ(r.outcome, Outcome::Failed);
   EXPECT_EQ(r.attempts, 2);
   EXPECT_FALSE(r.reason.empty());
+}
+
+TEST(Service, RetriesReseedRequestScopedFaults) {
+  // A request-scoped fault plan re-arms on every attempt. Reseeded from
+  // (seed, attempt), a retry faces fresh faults, so some requests that fail
+  // their first attempt complete on a later one; a replayed seed would fail
+  // every attempt the same way.
+  ServiceConfig cfg = small_config();
+  cfg.executors = 1;
+  GemmService service(cfg);
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 40; ++i) {
+    jobs.push_back(std::make_unique<Job>(64, 64, 64, 900 + i));
+    Request& req = jobs.back()->req;
+    req.cfg.fault_spec = "task.throw:p=0.01;seed=" + std::to_string(i);
+    req.retry_budget = 2;
+    req.allow_degradation = false;
+    futures.push_back(service.submit(req));
+  }
+  int completed_on_retry = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Response r = futures[i].get();
+    if (r.outcome == Outcome::Failed) continue;
+    EXPECT_LT(jobs[i]->error(), 1e-9) << i;
+    if (r.attempts >= 2) ++completed_on_retry;
+  }
+  EXPECT_GE(completed_on_retry, 1);
 }
 
 TEST(Service, MalformedFaultSpecFailsFastWithoutRetries) {
